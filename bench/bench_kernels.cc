@@ -2,13 +2,17 @@
  * @file
  * Google-benchmark micro-kernels for the performance-critical pieces:
  * the failure-mechanism models, qualification FIT evaluation, the
- * thermal solvers, the cache model, the branch predictor, trace
+ * thermal solvers (single core and the 1/2/4/8-core chip grids), the
+ * cache model, the branch predictor, trace
  * generation, and whole-core cycle throughput. These bound the cost
  * of the reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "cmp/floorplan.hh"
 #include "common.hh"
 #include "core/engine.hh"
 #include "core/mechanisms.hh"
@@ -89,6 +93,22 @@ BM_ThermalSteadyState(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ThermalSteadyState);
+
+void
+BM_ChipSteadyState(benchmark::State &state)
+{
+    const auto cores = static_cast<std::size_t>(state.range(0));
+    const thermal::ThermalModel model(
+        cmp::ChipFloorplan::grid(cores).layout());
+    std::vector<sim::PerStructure<double>> power(cores);
+    for (auto &p : power)
+        p.fill(2.5);
+    for (auto _ : state) {
+        const auto t = model.trySteadyState(power);
+        benchmark::DoNotOptimize(t.value().sink_k);
+    }
+}
+BENCHMARK(BM_ChipSteadyState)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void
 BM_ThermalTransientStep(benchmark::State &state)

@@ -6,13 +6,10 @@
  *
  * Timing is temperature-independent, so each core's activity sample
  * is exactly the single-core evaluation's (and comes from the shared
- * evaluation cache when warm). The fixed point then mirrors the
- * single-core loop (core/evaluator.cc) with the chip network in
- * place of the per-core one: dynamic power per core from activity,
- * leakage from each core's (clamped) temperatures, a chip
- * steady-state solve, damped updates, same tolerance and iteration
- * limit. Per-core results land by core index, so cold runs are
- * bit-identical at any thread count.
+ * evaluation cache when warm). The fixed point is the single-core
+ * one (core::tryLeakageFixedPoint) run over the N-tile chip network
+ * instead of the 1-tile one. Per-core results land by core index, so
+ * cold runs are bit-identical at any thread count.
  */
 
 #pragma once
@@ -20,9 +17,9 @@
 #include <vector>
 
 #include "cmp/floorplan.hh"
-#include "cmp/thermal.hh"
 #include "core/evaluator.hh"
 #include "drm/oracle.hh"
+#include "thermal/model.hh"
 #include "util/error.hh"
 #include "util/thread_pool.hh"
 #include "workload/profile.hh"
@@ -80,11 +77,12 @@ class ChipEvaluator
     tryEvaluate(const std::vector<const workload::AppProfile *> &apps,
                 const std::vector<sim::MachineConfig> &cfgs) const;
 
-    const ChipThermalModel &thermalModel() const { return thermal_; }
-    std::size_t numCores() const { return thermal_.numCores(); }
+    /** The coupled chip network, built and factored once. */
+    const thermal::ThermalModel &thermalModel() const { return thermal_; }
+    std::size_t numCores() const { return thermal_.numTiles(); }
 
   private:
-    ChipThermalModel thermal_;
+    thermal::ThermalModel thermal_;
     const drm::OracleExplorer *explorer_;
     util::ThreadPool *pool_;
 };

@@ -1,6 +1,5 @@
 #include "cmp/floorplan.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -11,31 +10,18 @@
 namespace ramp {
 namespace cmp {
 
-using sim::StructureId;
-
 namespace {
 
 constexpr double eps_mm = 1e-9;
 
-/** Overlap length of 1-D segments [a0,a1] and [b0,b1]. */
-double
-overlap(double a0, double a1, double b0, double b1)
+std::vector<thermal::TileOrigin>
+origins(const std::vector<CoreTile> &tiles)
 {
-    return std::max(0.0, std::min(a1, b1) - std::max(a0, b0));
-}
-
-/** Border length shared by two axis-aligned rectangles. */
-double
-rectBorder(double ax, double ay, double aw, double ah, double bx,
-           double by, double bw, double bh)
-{
-    if (std::fabs((ax + aw) - bx) < eps_mm ||
-        std::fabs((bx + bw) - ax) < eps_mm)
-        return overlap(ay, ay + ah, by, by + bh);
-    if (std::fabs((ay + ah) - by) < eps_mm ||
-        std::fabs((by + bh) - ay) < eps_mm)
-        return overlap(ax, ax + aw, bx, bx + bw);
-    return 0.0;
+    std::vector<thermal::TileOrigin> out;
+    out.reserve(tiles.size());
+    for (const CoreTile &t : tiles)
+        out.push_back({t.x_mm, t.y_mm});
+    return out;
 }
 
 util::RampError
@@ -53,11 +39,13 @@ coreError(const std::string &origin, std::size_t index,
             util::cat(origin, ":cores[", index, "]: ", what)};
 }
 
-/** Strict placement validation; @p size is the tile edge length. */
+/** Strict placement validation. */
 util::Result<void>
-validateTiles(const std::vector<CoreTile> &tiles, double size,
+validateTiles(const std::vector<CoreTile> &tiles,
               const std::string &origin)
 {
+    const thermal::TileLayout layout(origins(tiles));
+    const double size = layout.tileSize();
     for (std::size_t i = 0; i < tiles.size(); ++i)
         for (std::size_t j = 0; j < i; ++j)
             if (tiles[i].name == tiles[j].name)
@@ -68,12 +56,12 @@ validateTiles(const std::vector<CoreTile> &tiles, double size,
 
     for (std::size_t i = 0; i < tiles.size(); ++i)
         for (std::size_t j = 0; j < i; ++j) {
-            const double ox =
-                overlap(tiles[i].x_mm, tiles[i].x_mm + size,
-                        tiles[j].x_mm, tiles[j].x_mm + size);
-            const double oy =
-                overlap(tiles[i].y_mm, tiles[i].y_mm + size,
-                        tiles[j].y_mm, tiles[j].y_mm + size);
+            const double ox = thermal::segmentOverlap(
+                tiles[i].x_mm, tiles[i].x_mm + size, tiles[j].x_mm,
+                tiles[j].x_mm + size);
+            const double oy = thermal::segmentOverlap(
+                tiles[i].y_mm, tiles[i].y_mm + size, tiles[j].y_mm,
+                tiles[j].y_mm + size);
             if (ox > eps_mm && oy > eps_mm)
                 return coreError(
                     origin, i,
@@ -92,11 +80,7 @@ validateTiles(const std::vector<CoreTile> &tiles, double size,
             const std::size_t a = stack.back();
             stack.pop_back();
             for (std::size_t b = 0; b < tiles.size(); ++b) {
-                if (seen[b])
-                    continue;
-                if (rectBorder(tiles[a].x_mm, tiles[a].y_mm, size,
-                               size, tiles[b].x_mm, tiles[b].y_mm,
-                               size, size) > eps_mm) {
+                if (!seen[b] && layout.tilesAdjacent(a, b)) {
                     seen[b] = 1;
                     stack.push_back(b);
                 }
@@ -115,7 +99,7 @@ validateTiles(const std::vector<CoreTile> &tiles, double size,
 } // namespace
 
 ChipFloorplan::ChipFloorplan(std::vector<CoreTile> tiles)
-    : tiles_(std::move(tiles))
+    : tiles_(std::move(tiles)), layout_(origins(tiles_))
 {
 }
 
@@ -185,8 +169,7 @@ ChipFloorplan::tryParse(const util::JsonValue &doc,
         tiles.push_back(std::move(tile));
     }
 
-    const double s = thermal::Floorplan().dieSize();
-    if (auto valid = validateTiles(tiles, s, origin); !valid)
+    if (auto valid = validateTiles(tiles, origin); !valid)
         return valid.error();
     return ChipFloorplan(std::move(tiles));
 }
@@ -213,51 +196,6 @@ ChipFloorplan::tryLoad(const std::string &path)
             util::ErrorCode::InvalidInput,
             util::cat(path, ": ", parse_error)};
     return tryParse(*doc, path);
-}
-
-thermal::Block
-ChipFloorplan::chipBlock(std::size_t core, StructureId id) const
-{
-    thermal::Block b = core_.block(id);
-    b.x += tiles_[core].x_mm;
-    b.y += tiles_[core].y_mm;
-    return b;
-}
-
-double
-ChipFloorplan::sharedBorder(std::size_t core_a, StructureId a,
-                            std::size_t core_b,
-                            StructureId b) const
-{
-    if (core_a == core_b)
-        return a == b ? 0.0 : core_.sharedBorder(a, b);
-    const thermal::Block p = chipBlock(core_a, a);
-    const thermal::Block q = chipBlock(core_b, b);
-    return rectBorder(p.x, p.y, p.w, p.h, q.x, q.y, q.w, q.h);
-}
-
-double
-ChipFloorplan::centerDistance(std::size_t core_a, StructureId a,
-                              std::size_t core_b,
-                              StructureId b) const
-{
-    const thermal::Block p = chipBlock(core_a, a);
-    const thermal::Block q = chipBlock(core_b, b);
-    const double dx = p.cx() - q.cx();
-    const double dy = p.cy() - q.cy();
-    return std::sqrt(dx * dx + dy * dy);
-}
-
-bool
-ChipFloorplan::tilesAdjacent(std::size_t core_a,
-                             std::size_t core_b) const
-{
-    if (core_a == core_b)
-        return false;
-    const double s = tileSize();
-    return rectBorder(tiles_[core_a].x_mm, tiles_[core_a].y_mm, s, s,
-                      tiles_[core_b].x_mm, tiles_[core_b].y_mm, s,
-                      s) > eps_mm;
 }
 
 } // namespace cmp

@@ -1,7 +1,9 @@
 /**
  * @file
  * Chip-level (CMP) floorplan: N copies of the R10000-like core tile
- * placed on a shared die.
+ * placed on a shared die. This layer names, parses and validates
+ * placements; the tile geometry itself (translated blocks, borders,
+ * tile adjacency) is thermal::TileLayout.
  *
  * Each core occupies one 4.5 mm x 4.5 mm tile (the single-core
  * floorplan, thermal/floorplan.hh) at an arbitrary origin; tiles
@@ -26,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/structures.hh"
 #include "thermal/floorplan.hh"
 #include "util/error.hh"
 #include "util/json.hh"
@@ -73,36 +74,14 @@ class ChipFloorplan
     std::size_t numCores() const { return tiles_.size(); }
     const std::vector<CoreTile> &tiles() const { return tiles_; }
 
-    /** Edge length of one core tile (mm); tiles are square. */
-    double tileSize() const { return core_.dieSize(); }
-
-    /** The per-core structure layout every tile instantiates. */
-    const thermal::Floorplan &coreFloorplan() const { return core_; }
-
-    /** A structure's block in chip coordinates. */
-    thermal::Block chipBlock(std::size_t core,
-                             sim::StructureId id) const;
-
-    /**
-     * Length (mm) of the border shared by two structure blocks,
-     * possibly on different cores; 0 when not adjacent. Symmetric.
-     */
-    double sharedBorder(std::size_t core_a, sim::StructureId a,
-                        std::size_t core_b, sim::StructureId b) const;
-
-    /** Distance between two blocks' centers in chip coordinates. */
-    double centerDistance(std::size_t core_a, sim::StructureId a,
-                          std::size_t core_b,
-                          sim::StructureId b) const;
-
-    /** Tiles sharing a border of positive length. */
-    bool tilesAdjacent(std::size_t core_a, std::size_t core_b) const;
+    /** The tile geometry the chip's thermal network is built on. */
+    const thermal::TileLayout &layout() const { return layout_; }
 
   private:
     explicit ChipFloorplan(std::vector<CoreTile> tiles);
 
-    thermal::Floorplan core_;
     std::vector<CoreTile> tiles_;
+    thermal::TileLayout layout_;
 };
 
 } // namespace cmp

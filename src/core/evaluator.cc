@@ -37,6 +37,9 @@ struct EvalMetrics
      *  fault-forced ones); their points carry converged == false. */
     telemetry::Counter non_converged =
         telemetry::counter("evaluator.non_converged");
+    /** Steady-state solves, under the per-core solver's name. */
+    telemetry::Counter steady_solves =
+        telemetry::counter("thermal.steady_solves");
 };
 
 EvalMetrics &
@@ -70,7 +73,8 @@ OperatingPoint::avgTemp() const
     return sum / area;
 }
 
-Evaluator::Evaluator(EvalParams params) : params_(params)
+Evaluator::Evaluator(EvalParams params)
+    : params_(params), network_(params_.thermal_params)
 {
     if (params_.measure_uops == 0)
         util::fatal("evaluator needs a nonzero measurement length");
@@ -99,80 +103,126 @@ convergeSiteHash(const sim::MachineConfig &cfg,
     return h;
 }
 
+/**
+ * Leakage evaluation temperature cap: above ~450 K the exponential
+ * leakage-temperature loop has no stable fixed point (thermal
+ * runaway). The clamp keeps the solve finite; runaway operating
+ * points then report enormous (but finite) temperatures and FIT, and
+ * every selection policy rejects them.
+ */
+constexpr double leak_temp_cap = 450.0;
+
 } // namespace
+
+util::Result<FixedPointStats>
+tryLeakageFixedPoint(const thermal::ThermalModel &network,
+                     std::span<OperatingPoint> tiles,
+                     const EvalParams &params,
+                     const telemetry::Counter &solves)
+{
+    /** Fixed points whose final iterate has a block past the cap. */
+    static const telemetry::Counter leak_clamped =
+        telemetry::counter("evaluator.leak_clamped");
+
+    const std::size_t n = tiles.size();
+    std::vector<power::PowerModel> pmodels;
+    pmodels.reserve(n);
+    std::vector<PerStructure<double>> dyn(n);
+    std::vector<PerStructure<double>> temps(n);
+    for (std::size_t c = 0; c < n; ++c) {
+        pmodels.emplace_back(tiles[c].config, params.power_params);
+        dyn[c] = pmodels[c].dynamicPower(tiles[c].activity);
+        // Start from a flat guess a little above ambient.
+        temps[c].fill(params.thermal_params.ambient_k + 30.0);
+    }
+    const auto leak_temps = [&](const PerStructure<double> &t) {
+        PerStructure<double> clamped = t;
+        for (auto &v : clamped)
+            v = std::min(v, leak_temp_cap);
+        if (!params.leakage_feedback) {
+            // Ablation: leakage pinned at the reference density.
+            clamped.fill(params.power_params.leakage_t_ref);
+        }
+        return clamped;
+    };
+
+    FixedPointStats stats;
+    thermal::ChipSteadyTemps steady{};
+    std::vector<PerStructure<double>> total(n);
+    for (std::uint32_t it = 0; it < params.max_iterations; ++it) {
+        for (std::size_t c = 0; c < n; ++c) {
+            const auto leak = pmodels[c].leakagePower(leak_temps(temps[c]));
+            for (std::size_t i = 0; i < num_structures; ++i)
+                total[c][i] = dyn[c][i] + leak[i];
+        }
+        solves.add();
+        auto solve = network.trySteadyState(total);
+        if (!solve)
+            return solve.error();
+        steady = std::move(solve.value());
+
+        double worst = 0.0;
+        for (std::size_t c = 0; c < n; ++c) {
+            for (std::size_t i = 0; i < num_structures; ++i) {
+                worst = std::max(worst, std::fabs(steady.core_k[c][i] -
+                                                  temps[c][i]));
+                // Mild damping keeps the exponential leakage loop
+                // stable even at high power density.
+                temps[c][i] = 0.5 * temps[c][i] + 0.5 * steady.core_k[c][i];
+            }
+        }
+        ++stats.iterations;
+        stats.residual_k = worst;
+        if (worst < params.tolerance_k)
+            break;
+        if (it + 1 == params.max_iterations)
+            util::warn("thermal fixed point hit the iteration limit");
+    }
+
+    bool clamped = false;
+    for (std::size_t c = 0; c < n; ++c) {
+        OperatingPoint &op = tiles[c];
+        op.temps_k = temps[c];
+        op.sink_temp_k = steady.sink_k;
+        op.converged = stats.residual_k < params.tolerance_k;
+        op.power = pmodels[c].breakdown(op.activity, leak_temps(temps[c]));
+        for (double t : op.temps_k) {
+            if (!std::isfinite(t))
+                return util::RampError{
+                    util::ErrorCode::NonFiniteValue,
+                    util::cat("thermal fixed point produced non-finite "
+                              "temperatures on core ",
+                              c)};
+            clamped = clamped || t > leak_temp_cap;
+        }
+    }
+    if (clamped)
+        leak_clamped.add();
+    return stats;
+}
 
 util::Result<OperatingPoint>
 Evaluator::tryConvergeThermal(const sim::MachineConfig &cfg,
                               const sim::ActivitySample &activity,
                               const sim::CoreStats &stats) const
 {
-    const power::PowerModel pmodel(cfg, params_.power_params);
-    const thermal::ThermalModel tmodel(params_.thermal_params);
-
     OperatingPoint op;
     op.config = cfg;
     op.activity = activity;
     op.stats = stats;
 
-    // Start from a flat guess a little above ambient.
-    PerStructure<double> temps;
-    temps.fill(params_.thermal_params.ambient_k + 30.0);
-
-    // Leakage evaluation temperature is clamped: above ~450 K the
-    // exponential leakage-temperature loop has no stable fixed point
-    // (thermal runaway). The clamp keeps the solve finite; runaway
-    // operating points then report enormous (but finite) temperatures
-    // and FIT, and every selection policy rejects them.
-    constexpr double leak_temp_cap = 450.0;
-
     auto &metrics = evalMetrics();
     metrics.converge_calls.add();
-    std::uint32_t iterations = 0;
-    double final_residual_k = 0.0;
+    const auto fixed = tryLeakageFixedPoint(network_, {&op, 1}, params_,
+                                            metrics.steady_solves);
+    if (!fixed)
+        return fixed.error();
+    metrics.iterations.add(static_cast<double>(fixed.value().iterations));
+    metrics.residual_k.add(fixed.value().residual_k);
 
-    const auto dyn = pmodel.dynamicPower(activity);
-    thermal::SteadyTemps steady{};
-    for (std::uint32_t it = 0; it < params_.max_iterations; ++it) {
-        PerStructure<double> leak_temps = temps;
-        for (auto &t : leak_temps)
-            t = std::min(t, leak_temp_cap);
-        if (!params_.leakage_feedback) {
-            // Ablation: leakage pinned at the reference density.
-            leak_temps.fill(params_.power_params.leakage_t_ref);
-        }
-        const auto leak = pmodel.leakagePower(leak_temps);
-
-        PerStructure<double> total{};
-        for (std::size_t i = 0; i < num_structures; ++i)
-            total[i] = dyn[i] + leak[i];
-        auto solve = tmodel.trySteadyState(total);
-        if (!solve)
-            return solve.error();
-        steady = std::move(solve.value());
-
-        double worst = 0.0;
-        for (std::size_t i = 0; i < num_structures; ++i) {
-            worst = std::max(worst,
-                             std::fabs(steady.block_k[i] - temps[i]));
-            // Mild damping keeps the exponential leakage loop stable
-            // even at high power density.
-            temps[i] = 0.5 * temps[i] + 0.5 * steady.block_k[i];
-        }
-        ++iterations;
-        final_residual_k = worst;
-        if (worst < params_.tolerance_k)
-            break;
-        if (it + 1 == params_.max_iterations)
-            util::warn("thermal fixed point hit the iteration limit");
-    }
-    metrics.iterations.add(static_cast<double>(iterations));
-    metrics.residual_k.add(final_residual_k);
-
-    // Stopped at the limit without meeting tolerance: the iterate is
-    // not a fixed point. Also the hook for the forced-non-convergence
-    // fault, which flags the (otherwise clean) point so downstream
-    // handling of untrusted evaluations can be exercised.
-    op.converged = final_residual_k < params_.tolerance_k;
+    // The hook for the forced-non-convergence fault, which flags the
+    // (otherwise clean) point so downstream handling of untrusted
+    // evaluations can be exercised.
     if (const auto *plan = fault::activeFaultPlan();
         plan && op.converged &&
         fault::forceNonConvergence(
@@ -180,21 +230,6 @@ Evaluator::tryConvergeThermal(const sim::MachineConfig &cfg,
         op.converged = false;
     if (!op.converged)
         metrics.non_converged.add();
-
-    op.temps_k = temps;
-    op.sink_temp_k = steady.sink_k;
-    PerStructure<double> leak_temps = temps;
-    for (auto &t : leak_temps)
-        t = std::min(t, leak_temp_cap);
-    if (!params_.leakage_feedback)
-        leak_temps.fill(params_.power_params.leakage_t_ref);
-    op.power = pmodel.breakdown(activity, leak_temps);
-    for (double t : op.temps_k)
-        if (!std::isfinite(t))
-            return util::RampError{
-                util::ErrorCode::NonFiniteValue,
-                "thermal fixed point produced non-finite "
-                "temperatures"};
     return op;
 }
 

@@ -17,12 +17,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "power/power.hh"
 #include "sim/core.hh"
 #include "sim/machine.hh"
 #include "thermal/model.hh"
 #include "util/error.hh"
+#include "util/telemetry.hh"
 #include "workload/profile.hh"
 
 namespace ramp {
@@ -98,9 +100,36 @@ struct EvalParams
     thermal::ThermalParams thermal_params{};
 };
 
+/** Loop statistics of one leakage/thermal fixed point. */
+struct FixedPointStats
+{
+    std::uint32_t iterations = 0;
+    /** Worst per-block temperature change (K) in the last iteration. */
+    double residual_k = 0.0;
+};
+
+/**
+ * The damped leakage/thermal fixed point over every tile of
+ * @p network, one operating point per tile (config and activity
+ * set). Dynamic power follows from activity, leakage from each
+ * block's (clamped) temperature, temperatures from one coupled
+ * steady-state solve; updates are damped by half until the worst
+ * change is below params.tolerance_k or the iteration limit is hit.
+ * Fills each point's temps_k, sink_temp_k, power and converged, and
+ * bumps @p solves once per steady-state solve. A failed solve or
+ * non-finite temperatures come back as a RampError; hitting the
+ * iteration limit is NOT an error (converged == false).
+ */
+[[nodiscard]] util::Result<FixedPointStats>
+tryLeakageFixedPoint(const thermal::ThermalModel &network,
+                     std::span<OperatingPoint> tiles,
+                     const EvalParams &params,
+                     const telemetry::Counter &solves);
+
 /**
  * Evaluates (application, machine) operating points. Stateless apart
- * from its parameters; safe to reuse across calls.
+ * from its parameters and the thermal network built from them; safe
+ * to reuse across calls and threads.
  */
 class Evaluator
 {
@@ -143,6 +172,7 @@ class Evaluator
 
   private:
     EvalParams params_;
+    thermal::ThermalModel network_; ///< The 1-tile network.
 };
 
 } // namespace core

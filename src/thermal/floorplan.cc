@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -56,45 +57,98 @@ Floorplan::block(StructureId id) const
 
 namespace {
 
-/** Overlap length of 1-D segments [a0,a1] and [b0,b1]. */
+constexpr double eps_mm = 1e-9;
+
+/** Border length shared by two axis-aligned rectangles. */
 double
-overlap(double a0, double a1, double b0, double b1)
+rectBorder(const Block &p, const Block &q)
 {
-    return std::max(0.0, std::min(a1, b1) - std::max(a0, b0));
+    // Vertical borders (p right edge on q left edge or vice versa).
+    if (std::fabs((p.x + p.w) - q.x) < eps_mm ||
+        std::fabs((q.x + q.w) - p.x) < eps_mm)
+        return segmentOverlap(p.y, p.y + p.h, q.y, q.y + q.h);
+    // Horizontal borders.
+    if (std::fabs((p.y + p.h) - q.y) < eps_mm ||
+        std::fabs((q.y + q.h) - p.y) < eps_mm)
+        return segmentOverlap(p.x, p.x + p.w, q.x, q.x + q.w);
+    return 0.0;
+}
+
+double
+centerGap(const Block &p, const Block &q)
+{
+    const double dx = p.cx() - q.cx();
+    const double dy = p.cy() - q.cy();
+    return std::sqrt(dx * dx + dy * dy);
 }
 
 } // namespace
+
+double
+segmentOverlap(double a0, double a1, double b0, double b1)
+{
+    return std::max(0.0, std::min(a1, b1) - std::max(a0, b0));
+}
 
 double
 Floorplan::sharedBorder(StructureId a, StructureId b) const
 {
     if (a == b)
         return 0.0;
-    const Block &p = block(a);
-    const Block &q = block(b);
-    const double eps = 1e-9;
-
-    // Vertical borders (p right edge on q left edge or vice versa).
-    if (std::fabs((p.x + p.w) - q.x) < eps ||
-        std::fabs((q.x + q.w) - p.x) < eps) {
-        return overlap(p.y, p.y + p.h, q.y, q.y + q.h);
-    }
-    // Horizontal borders.
-    if (std::fabs((p.y + p.h) - q.y) < eps ||
-        std::fabs((q.y + q.h) - p.y) < eps) {
-        return overlap(p.x, p.x + p.w, q.x, q.x + q.w);
-    }
-    return 0.0;
+    return rectBorder(block(a), block(b));
 }
 
 double
 Floorplan::centerDistance(StructureId a, StructureId b) const
 {
-    const Block &p = block(a);
-    const Block &q = block(b);
-    const double dx = p.cx() - q.cx();
-    const double dy = p.cy() - q.cy();
-    return std::sqrt(dx * dx + dy * dy);
+    return centerGap(block(a), block(b));
+}
+
+TileLayout::TileLayout(std::vector<TileOrigin> origins)
+    : origins_(std::move(origins))
+{
+    if (origins_.empty())
+        util::panic("tile layout needs at least one tile");
+}
+
+Block
+TileLayout::block(std::size_t tile, StructureId id) const
+{
+    Block b = core_.block(id);
+    b.x += origins_[tile].x_mm;
+    b.y += origins_[tile].y_mm;
+    return b;
+}
+
+double
+TileLayout::sharedBorder(std::size_t tile_a, StructureId a,
+                         std::size_t tile_b, StructureId b) const
+{
+    if (tile_a == tile_b)
+        return core_.sharedBorder(a, b);
+    return rectBorder(block(tile_a, a), block(tile_b, b));
+}
+
+double
+TileLayout::centerDistance(std::size_t tile_a, StructureId a,
+                           std::size_t tile_b, StructureId b) const
+{
+    if (tile_a == tile_b)
+        return core_.centerDistance(a, b);
+    return centerGap(block(tile_a, a), block(tile_b, b));
+}
+
+bool
+TileLayout::tilesAdjacent(std::size_t tile_a, std::size_t tile_b) const
+{
+    if (tile_a == tile_b)
+        return false;
+    // Each tile as one square block; the structure id is unused.
+    const double s = tileSize();
+    const TileOrigin &p = origins_[tile_a];
+    const TileOrigin &q = origins_[tile_b];
+    return rectBorder({StructureId{}, p.x_mm, p.y_mm, s, s},
+                      {StructureId{}, q.x_mm, q.y_mm, s, s}) > eps_mm;
 }
 
 } // namespace thermal

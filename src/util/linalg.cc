@@ -49,22 +49,23 @@ Matrix::mul(const std::vector<double> &x) const
     return y;
 }
 
-Result<std::vector<double>>
-trySolveLinear(Matrix a, std::vector<double> b)
+Result<LuFactors>
+LuFactors::tryFactor(Matrix a)
 {
     const std::size_t n = a.rows();
-    if (a.cols() != n || b.size() != n)
+    if (a.cols() != n)
         panic("solveLinear needs a square system");
 
+    std::vector<std::size_t> pivot(n);
     for (std::size_t col = 0; col < n; ++col) {
         // Partial pivot: find the largest magnitude entry in the column.
-        std::size_t pivot = col;
+        pivot[col] = col;
         double best = std::fabs(a.at(col, col));
         for (std::size_t r = col + 1; r < n; ++r) {
             const double v = std::fabs(a.at(r, col));
             if (v > best) {
                 best = v;
-                pivot = r;
+                pivot[col] = r;
             }
         }
         if (best < 1e-300)
@@ -72,20 +73,38 @@ trySolveLinear(Matrix a, std::vector<double> b)
                              cat("singular linear system (pivot ",
                                  best, " in column ", col, " of ", n,
                                  ")")};
-        if (pivot != col) {
+        if (pivot[col] != col)
             for (std::size_t c = col; c < n; ++c)
-                std::swap(a.at(col, c), a.at(pivot, c));
-            std::swap(b[col], b[pivot]);
-        }
-        // Eliminate below.
+                std::swap(a.at(col, c), a.at(pivot[col], c));
+        // Eliminate below, keeping each row's multiplier in the
+        // column it zeroes.
         const double d = a.at(col, col);
         for (std::size_t r = col + 1; r < n; ++r) {
             const double factor = a.at(r, col) / d;
+            a.at(r, col) = factor;
             if (factor == 0.0)
                 continue;
-            for (std::size_t c = col; c < n; ++c)
+            for (std::size_t c = col + 1; c < n; ++c)
                 a.at(r, c) -= factor * a.at(col, c);
-            b[r] -= factor * b[col];
+        }
+    }
+    return LuFactors(std::move(a), std::move(pivot));
+}
+
+std::vector<double>
+LuFactors::solve(std::vector<double> b) const
+{
+    const std::size_t n = lu_.rows();
+    if (b.size() != n)
+        panic("solveLinear needs a square system");
+
+    // Forward elimination, replayed on b alone.
+    for (std::size_t col = 0; col < n; ++col) {
+        std::swap(b[col], b[pivot_[col]]);
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const double factor = lu_.at(r, col);
+            if (factor != 0.0)
+                b[r] -= factor * b[col];
         }
     }
 
@@ -94,10 +113,21 @@ trySolveLinear(Matrix a, std::vector<double> b)
     for (std::size_t i = n; i-- > 0;) {
         double acc = b[i];
         for (std::size_t c = i + 1; c < n; ++c)
-            acc -= a.at(i, c) * x[c];
-        x[i] = acc / a.at(i, i);
+            acc -= lu_.at(i, c) * x[c];
+        x[i] = acc / lu_.at(i, i);
     }
     return x;
+}
+
+Result<std::vector<double>>
+trySolveLinear(Matrix a, std::vector<double> b)
+{
+    if (a.cols() != a.rows() || b.size() != a.rows())
+        panic("solveLinear needs a square system");
+    auto lu = LuFactors::tryFactor(std::move(a));
+    if (!lu)
+        return lu.error();
+    return lu.value().solve(std::move(b));
 }
 
 std::vector<double>

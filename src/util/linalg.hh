@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/error.hh"
@@ -46,9 +47,43 @@ class Matrix
 };
 
 /**
- * Solve A x = b with partial-pivot Gaussian elimination.
- * A must be square with A.rows() == b.size() (violating that is a
- * caller bug and panics). A numerically singular system is a
+ * Partial-pivot LU factors of a square matrix, for many right-hand
+ * sides against one matrix (the thermal network's conductances are
+ * fixed at construction; only the power vector changes per solve).
+ * solve() replays the elimination's row swaps and multipliers on b in
+ * the order the elimination produced them, so it performs exactly
+ * the floating-point operations of eliminating the augmented [A|b].
+ */
+class LuFactors
+{
+  public:
+    /**
+     * Factor @p a. A non-square matrix is a caller bug and panics; a
+     * numerically singular one comes back as
+     * ErrorCode::SingularSystem.
+     */
+    [[nodiscard]] static Result<LuFactors> tryFactor(Matrix a);
+
+    /** Solve A x = b; b.size() must equal the matrix order. */
+    std::vector<double> solve(std::vector<double> b) const;
+
+  private:
+    explicit LuFactors(Matrix lu, std::vector<std::size_t> pivot)
+        : lu_(std::move(lu)), pivot_(std::move(pivot))
+    {
+    }
+
+    /** U on and above the diagonal; below it, the multiplier that
+     *  eliminated each row, at that row's position when its column
+     *  was eliminated. */
+    Matrix lu_;
+    std::vector<std::size_t> pivot_; ///< Row swapped in per column.
+};
+
+/**
+ * Solve A x = b with partial-pivot Gaussian elimination (factor, then
+ * solve). A must be square with A.rows() == b.size() (violating that
+ * is a caller bug and panics). A numerically singular system is a
  * recoverable per-item failure and comes back as
  * ErrorCode::SingularSystem.
  */

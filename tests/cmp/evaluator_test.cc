@@ -6,12 +6,14 @@
  * (a busy neighbor warms an idle core's point).
  */
 
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cmp/evaluator.hh"
 #include "drm/oracle.hh"
+#include "util/telemetry.hh"
 #include "util/thread_pool.hh"
 #include "workload/profile.hh"
 
@@ -120,6 +122,79 @@ TEST(ChipEvaluator, BusyNeighborWarmsAnIdleCorePoint)
               slow.cores[0].activity.cycles);
     EXPECT_EQ(fast.cores[0].uopsPerSecond(),
               slow.cores[0].uopsPerSecond());
+}
+
+TEST(ChipEvaluator, FourCoreEvaluationMatchesGoldenValues)
+{
+    // Captured before the chip shared the single-core fixed point and
+    // the network was factored once; neither may move a bit. The die
+    // runs past the leakage clamp, so the clamped path is pinned too.
+    const double temps_k[4 * sim::num_structures] = {
+        0x1.00a91b97d9501p+9, 0x1.ff39102a9e659p+8, 0x1.0077ff39026bcp+9,
+        0x1.ff1f944bf739cp+8, 0x1.00253b860a6a5p+9, 0x1.007674c81476ep+9,
+        0x1.0014a76db165p+9, 0x1.ff960a38564acp+8, 0x1.0098f41152cfp+9,
+        0x1.0131aa2006249p+9, 0x1.ff92076ba06fp+8, 0x1.fd5a324c78a2fp+8,
+        0x1.ffaee1ade4bc7p+8, 0x1.fe38731192658p+8, 0x1.fe9f116c6d312p+8,
+        0x1.ff6ca271fe284p+8, 0x1.ffa038dec4addp+8, 0x1.fe0fc1ca86c83p+8,
+        0x1.000bf1fa542d6p+9, 0x1.008db737eccp+9, 0x1.015736c478d68p+9,
+        0x1.ffae68e92f77cp+8, 0x1.010c1a1f6cc6ap+9, 0x1.ff8ba023c36d3p+8,
+        0x1.00660a65dd89cp+9, 0x1.011fac795607ep+9, 0x1.00dfd316dd85p+9,
+        0x1.ff7e86d98ed56p+8, 0x1.010de1ca55092p+9, 0x1.019ef731aa7fcp+9,
+        0x1.009a1a1858668p+9, 0x1.ff0fc5f7b648ap+8, 0x1.00a3ddb5b43ap+9,
+        0x1.000027c319fc2p+9, 0x1.ff71810cd730fp+8, 0x1.008c9801ce1bep+9,
+        0x1.009cf4b41ca56p+9, 0x1.fe8b072cae4d6p+8, 0x1.005883c1fac7p+9,
+        0x1.00e6acc1a7dffp+9,
+    };
+    const double power_w[4] = {0x1.4cd177af7c5fep+5, 0x1.3a2de38882d0ep+5,
+                               0x1.5a7d1964595f6p+5, 0x1.4cd177af7c5fep+5};
+    const drm::OracleExplorer explorer(quickParams());
+    const ChipEvaluator chip(ChipFloorplan::grid(4), &explorer);
+    const auto &twolf = workload::findApp("twolf");
+    const auto &gzip = workload::findApp("gzip");
+    std::vector<sim::MachineConfig> cfgs(4, sim::baseMachine());
+    cfgs[1].frequency_ghz = 3.5;
+    cfgs[1].voltage_v = 0.95;
+    const auto r = chip.tryEvaluate({&twolf, &gzip, &gzip, &twolf}, cfgs);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    for (std::size_t c = 0; c < 4; ++c) {
+        for (std::size_t i = 0; i < sim::num_structures; ++i)
+            EXPECT_EQ(r.value().cores[c].temps_k[i],
+                      temps_k[c * sim::num_structures + i])
+                << "core " << c << " block " << i;
+        EXPECT_EQ(r.value().cores[c].totalPower(), power_w[c]) << c;
+    }
+    EXPECT_EQ(r.value().sink_temp_k, 0x1.c13590fbbb2c5p+8);
+    EXPECT_TRUE(r.value().converged);
+}
+
+std::uint64_t
+leakClamped()
+{
+    return telemetry::Registry::instance().snapshot().counter(
+        "evaluator.leak_clamped");
+}
+
+TEST(ChipEvaluator, LeakClampIsCounted)
+{
+    // An 8-core base-config die runs away past the leakage clamp; a
+    // lone base-config core does not. Each fixed point whose final
+    // iterate crosses the clamp counts once.
+    const drm::OracleExplorer explorer(quickParams());
+    const auto &app = workload::findApp("twolf");
+
+    const std::uint64_t before_single = leakClamped();
+    const auto single = explorer.tryEvaluate(sim::baseMachine(), app);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(leakClamped(), before_single);
+
+    const ChipEvaluator chip(ChipFloorplan::grid(8), &explorer);
+    const std::uint64_t before_chip = leakClamped();
+    const auto r = chip.tryEvaluate(
+        std::vector<const workload::AppProfile *>(8, &app),
+        std::vector<sim::MachineConfig>(8, sim::baseMachine()));
+    ASSERT_TRUE(r.ok());
+    EXPECT_GT(r.value().maxTemp(), 450.0);
+    EXPECT_EQ(leakClamped(), before_chip + 1);
 }
 
 TEST(ChipEvaluator, ThroughputSumsCores)

@@ -50,7 +50,7 @@ TEST(ChipFloorplanGrid, BuiltInShapes)
         EXPECT_EQ(plan.tiles().size(), n);
     }
     const auto quad = ChipFloorplan::grid(4);
-    const double s = quad.tileSize();
+    const double s = quad.layout().tileSize();
     EXPECT_GT(s, 0.0);
     // 2x2: core0 bottom-left, core1 bottom-right, core2 top-left,
     // core3 top-right.
@@ -61,12 +61,12 @@ TEST(ChipFloorplanGrid, BuiltInShapes)
     EXPECT_DOUBLE_EQ(quad.tiles()[2].y_mm, s);
     // Edge neighbors abut; diagonal tiles only touch at a corner,
     // which is not a shared border.
-    EXPECT_TRUE(quad.tilesAdjacent(0, 1));
-    EXPECT_TRUE(quad.tilesAdjacent(0, 2));
-    EXPECT_TRUE(quad.tilesAdjacent(1, 3));
-    EXPECT_FALSE(quad.tilesAdjacent(0, 3));
-    EXPECT_FALSE(quad.tilesAdjacent(1, 2));
-    EXPECT_FALSE(quad.tilesAdjacent(2, 2));
+    EXPECT_TRUE(quad.layout().tilesAdjacent(0, 1));
+    EXPECT_TRUE(quad.layout().tilesAdjacent(0, 2));
+    EXPECT_TRUE(quad.layout().tilesAdjacent(1, 3));
+    EXPECT_FALSE(quad.layout().tilesAdjacent(0, 3));
+    EXPECT_FALSE(quad.layout().tilesAdjacent(1, 2));
+    EXPECT_FALSE(quad.layout().tilesAdjacent(2, 2));
 }
 
 TEST(ChipFloorplanGridDeath, UnsupportedCountIsFatal)
@@ -89,7 +89,7 @@ TEST(ChipFloorplanParse, AcceptsNamedPlacement)
     EXPECT_EQ(plan.value().tiles()[0].name, "left");
     EXPECT_EQ(plan.value().tiles()[1].name, "core1"); // default
     EXPECT_DOUBLE_EQ(plan.value().tiles()[1].x_mm, 4.5);
-    EXPECT_TRUE(plan.value().tilesAdjacent(0, 1));
+    EXPECT_TRUE(plan.value().layout().tilesAdjacent(0, 1));
 }
 
 TEST(ChipFloorplanParse, RejectsMalformedRoots)
@@ -206,14 +206,14 @@ TEST(ChipFloorplanGeometry, BordersAreSymmetricAndTiled)
 {
     const auto plan = ChipFloorplan::grid(2);
     // Same-core queries match the per-core floorplan exactly.
-    const auto &core = plan.coreFloorplan();
+    const auto &core = plan.layout().core();
     for (auto a : sim::allStructures())
         for (auto b : sim::allStructures()) {
             if (a == b)
                 continue;
-            EXPECT_EQ(plan.sharedBorder(0, a, 0, b),
+            EXPECT_EQ(plan.layout().sharedBorder(0, a, 0, b),
                       core.sharedBorder(a, b));
-            EXPECT_EQ(plan.sharedBorder(1, a, 1, b),
+            EXPECT_EQ(plan.layout().sharedBorder(1, a, 1, b),
                       core.sharedBorder(a, b));
         }
     // Cross-core borders are symmetric and some must exist along the
@@ -221,22 +221,22 @@ TEST(ChipFloorplanGeometry, BordersAreSymmetricAndTiled)
     double total_border = 0.0;
     for (auto a : sim::allStructures())
         for (auto b : sim::allStructures()) {
-            const double ab = plan.sharedBorder(0, a, 1, b);
-            EXPECT_EQ(ab, plan.sharedBorder(1, b, 0, a));
-            EXPECT_EQ(plan.centerDistance(0, a, 1, b),
-                      plan.centerDistance(1, b, 0, a));
+            const double ab = plan.layout().sharedBorder(0, a, 1, b);
+            EXPECT_EQ(ab, plan.layout().sharedBorder(1, b, 0, a));
+            EXPECT_EQ(plan.layout().centerDistance(0, a, 1, b),
+                      plan.layout().centerDistance(1, b, 0, a));
             total_border += ab;
         }
     // The whole tile edge is covered by block borders.
-    EXPECT_NEAR(total_border, plan.tileSize(), 1e-9);
+    EXPECT_NEAR(total_border, plan.layout().tileSize(), 1e-9);
 }
 
 TEST(ChipFloorplanGeometry, ChipBlocksAreTranslatedCoreBlocks)
 {
     const auto plan = ChipFloorplan::grid(4);
     for (auto id : sim::allStructures()) {
-        const auto base = plan.coreFloorplan().block(id);
-        const auto moved = plan.chipBlock(3, id);
+        const auto base = plan.layout().core().block(id);
+        const auto moved = plan.layout().block(3, id);
         EXPECT_DOUBLE_EQ(moved.x,
                          base.x + plan.tiles()[3].x_mm);
         EXPECT_DOUBLE_EQ(moved.y,

@@ -103,6 +103,32 @@ TEST(Evaluator, ConvergeThermalIsIdempotent)
         EXPECT_NEAR(again.temps_k[i], op.temps_k[i], 0.05);
 }
 
+TEST(Evaluator, ConvergeThermalMatchesGoldenValues)
+{
+    // One fixed point on a synthetic activity sample, captured before
+    // the loop was shared with the chip evaluator and the network
+    // factored once; neither may move a bit.
+    const double temps_k[sim::num_structures] = {
+        0x1.76af9e5cc5a03p+8, 0x1.74bc48ecb26c6p+8, 0x1.77d4165fb9e36p+8,
+        0x1.75ab96466a57dp+8, 0x1.7e887ae3d1948p+8, 0x1.83f6b8d4ec963p+8,
+        0x1.7fedc93c699p+8, 0x1.7642b34bf54c6p+8, 0x1.7d7a0281ea1fep+8,
+        0x1.92efc15ffdc21p+8,
+    };
+    sim::ActivitySample activity;
+    activity.cycles = 1'000'000;
+    activity.retired = 1'300'000;
+    for (std::size_t i = 0; i < sim::num_structures; ++i)
+        activity.activity[i] = 0.05 + 0.07 * i;
+    const Evaluator e;
+    const auto op =
+        e.convergeThermal(sim::baseMachine(), activity, sim::CoreStats{});
+    for (std::size_t i = 0; i < sim::num_structures; ++i)
+        EXPECT_EQ(op.temps_k[i], temps_k[i]) << i;
+    EXPECT_EQ(op.sink_temp_k, 0x1.4ea4a02f0f4cdp+8);
+    EXPECT_EQ(op.totalPower(), 0x1.33f19d06eed5cp+5);
+    EXPECT_TRUE(op.converged);
+}
+
 TEST(Evaluator, PerformanceMetricConsistency)
 {
     const Evaluator e(fastParams());

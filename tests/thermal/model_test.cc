@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +119,27 @@ TEST(ThermalSteady, AvgAndMaxAreConsistent)
               t.block_k[structureIndex(StructureId::IntAlu)]);
 }
 
+TEST(ThermalSteady, AsymmetricMapMatchesGoldenValues)
+{
+    // Captured from the assemble-and-eliminate-per-solve solver the
+    // factored network replaced; factoring once must not move a bit.
+    const double block_k[num_structures] = {
+        0x1.569032ca3db0ep+8, 0x1.5478ac7b29181p+8, 0x1.5b0817705b988p+8,
+        0x1.5a198edd60264p+8, 0x1.62909da55dfe6p+8, 0x1.5fc890bc849bdp+8,
+        0x1.63d3f38f6536cp+8, 0x1.565cc0790ee9fp+8, 0x1.63dc56bcde67dp+8,
+        0x1.6d904318a370fp+8,
+    };
+    const ThermalModel model;
+    PerStructure<double> p{};
+    for (std::size_t i = 0; i < num_structures; ++i)
+        p[i] = 0.3 + 0.45 * i;
+    const auto t = model.steadyState(p);
+    for (std::size_t i = 0; i < num_structures; ++i)
+        EXPECT_EQ(t.block_k[i], block_k[i]) << i;
+    EXPECT_EQ(t.spreader_k, 0x1.43b70a3d70a5bp+8);
+    EXPECT_EQ(t.sink_k, 0x1.40ecccccccce7p+8);
+}
+
 TEST(ThermalTransient, ConvergesToSteadyState)
 {
     ThermalModel model;
@@ -218,6 +240,23 @@ TEST(ThermalDeath, NonPositiveDtIsFatal)
 {
     ThermalModel model;
     EXPECT_EXIT(model.step(flatPower(1.0), 0.0),
+                testing::ExitedWithCode(1), "dt");
+}
+
+TEST(ThermalDeath, NanDtIsFatal)
+{
+    ThermalModel model;
+    EXPECT_EXIT(model.step(flatPower(1.0),
+                           std::numeric_limits<double>::quiet_NaN()),
+                testing::ExitedWithCode(1), "dt");
+}
+
+TEST(ThermalDeath, InfiniteDtIsFatal)
+{
+    // An infinite step would never drain its sub-step budget.
+    ThermalModel model;
+    EXPECT_EXIT(model.step(flatPower(1.0),
+                           std::numeric_limits<double>::infinity()),
                 testing::ExitedWithCode(1), "dt");
 }
 
