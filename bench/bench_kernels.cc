@@ -3,13 +3,16 @@
  * Google-benchmark micro-kernels for the performance-critical pieces:
  * the failure-mechanism models, qualification FIT evaluation, the
  * thermal solvers (single core and the 1/2/4/8-core chip grids), the
- * cache model, the branch predictor, trace
- * generation, and whole-core cycle throughput. These bound the cost
- * of the reproduction sweeps.
+ * cache model, the branch predictor, trace generation, and whole-core
+ * throughput per cycle (run) and per retired uop (runUops). These
+ * bound the cost of the reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "cmp/floorplan.hh"
@@ -158,19 +161,74 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration);
 
+/** Core kernels: the two original base-machine apps, the
+ *  memory-bound one (most idle cycles), a narrow ArchDVS machine and
+ *  a DTM fetch-throttled one. */
+struct CoreCase
+{
+    const char *app;
+    std::uint32_t window;
+    std::uint32_t int_alus;
+    std::uint32_t fpus;
+    std::uint32_t fetch_duty_x8;
+};
+
+constexpr CoreCase core_cases[] = {
+    {"MPGdec", 128, 6, 4, 8}, {"twolf", 128, 6, 4, 8},
+    {"art", 128, 6, 4, 8},    {"twolf", 48, 2, 1, 8},
+    {"art", 48, 2, 1, 8},     {"twolf", 128, 6, 4, 4},
+    {"art", 128, 6, 4, 4},
+};
+
+/** A core for case `i`, warmed by 50k cycles. */
+struct WarmCore
+{
+    explicit WarmCore(benchmark::State &state)
+        : c(core_cases[state.range(0)]),
+          gen(workload::findApp(c.app), 1), core(machine(c), gen)
+    {
+        core.run(50000);
+        state.SetLabel(std::string(c.app) + " " + core.config().describe());
+    }
+
+    static sim::MachineConfig
+    machine(const CoreCase &c)
+    {
+        sim::MachineConfig cfg = sim::baseMachine();
+        cfg.window_size = c.window;
+        cfg.num_int_alu = c.int_alus;
+        cfg.num_fpu = c.fpus;
+        cfg.fetch_duty_x8 = c.fetch_duty_x8;
+        return cfg;
+    }
+
+    CoreCase c;
+    workload::TraceGenerator gen;
+    sim::Core core;
+};
+
 void
 BM_CoreCycles(benchmark::State &state)
 {
-    const auto &app = workload::findApp(
-        state.range(0) == 0 ? "MPGdec" : "twolf");
-    workload::TraceGenerator gen(app, 1);
-    sim::Core core(sim::baseMachine(), gen);
-    core.run(50000); // warm
+    WarmCore w(state);
     for (auto _ : state)
-        core.run(1000);
+        w.core.run(1000);
     state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_CoreCycles)->DenseRange(0, 1);
+BENCHMARK(BM_CoreCycles)->DenseRange(0, std::size(core_cases) - 1);
+
+/** runUops, the call the evaluator makes; items are retired uops. */
+void
+BM_CoreUops(benchmark::State &state)
+{
+    WarmCore w(state);
+    const std::uint64_t before = w.core.stats().retired;
+    for (auto _ : state)
+        w.core.runUops(1000);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(w.core.stats().retired - before));
+}
+BENCHMARK(BM_CoreUops)->DenseRange(0, std::size(core_cases) - 1);
 
 } // namespace
 

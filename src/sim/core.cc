@@ -1,6 +1,7 @@
 #include "sim/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.hh"
 #include "util/telemetry.hh"
@@ -10,24 +11,23 @@ namespace sim {
 
 Core::Core(const MachineConfig &cfg, UopSource &source)
     : cfg_(cfg), source_(source), mem_(cfg), bpred_(cfg.bpred_entries),
-      ras_(cfg.ras_entries), window_(cfg.window_size),
-      int_fu_busy_(cfg.num_int_alu, 0), fp_fu_busy_(cfg.num_fpu, 0),
-      agen_busy_(cfg.num_agen, 0)
+      ras_(cfg.ras_entries), int_fu_busy_(cfg.num_int_alu, 0),
+      fp_fu_busy_(cfg.num_fpu, 0), agen_busy_(cfg.num_agen, 0)
 {
     cfg_.validate();
-    fetch_buffer_.reserve(cfg_.fetch_buffer);
+    const std::uint64_t ring = std::bit_ceil(cfg_.window_size);
+    window_.resize(ring);
+    window_mask_ = ring - 1;
+    ready_.assign((ring + 63) / 64, 0);
+    const std::uint64_t fetch_ring = std::bit_ceil(cfg_.fetch_buffer);
+    fetch_buffer_.resize(fetch_ring);
+    fetch_mask_ = fetch_ring - 1;
+    wheel_head_.fill(no_link);
+    due_.reserve(ring);
     // The rename pool: physical registers beyond the 64+64 architected
     // state. The window can never hold more writers than this.
     free_int_regs_ = cfg_.int_regs > 64 ? cfg_.int_regs - 64 : 1;
     free_fp_regs_ = cfg_.fp_regs > 64 ? cfg_.fp_regs - 64 : 1;
-}
-
-const Core::WinEntry *
-Core::findEntry(std::uint64_t seq) const
-{
-    if (seq < head_seq_ || seq >= tail_seq_)
-        return nullptr;
-    return &slot(seq);
 }
 
 namespace {
@@ -38,6 +38,9 @@ struct CoreMetrics
 {
     telemetry::Counter run_calls = telemetry::counter("sim.run_calls");
     telemetry::Counter cycles = telemetry::counter("sim.cycles");
+    /** Idle cycles jumped over rather than stepped (part of cycles). */
+    telemetry::Counter skipped_cycles =
+        telemetry::counter("sim.skipped_cycles");
     telemetry::Counter fetched =
         telemetry::counter("sim.uops_fetched");
     telemetry::Counter issued = telemetry::counter("sim.uops_issued");
@@ -70,9 +73,13 @@ Core::run(std::uint64_t cycles)
     auto &metrics = coreMetrics();
     metrics.run_calls.add();
     const CoreStats before = stats_;
-    for (std::uint64_t i = 0; i < cycles; ++i)
-        stepCycle();
+    const std::uint64_t end = cycle_ + cycles;
+    std::uint64_t skipped = 0;
+    while (cycle_ < end)
+        if (!stepCycle())
+            skipped += skipIdle(end);
     metrics.cycles.add(stats_.cycles - before.cycles);
+    metrics.skipped_cycles.add(skipped);
     metrics.fetched.add(stats_.fetched - before.fetched);
     metrics.issued.add(stats_.issued - before.issued);
     metrics.retired.add(stats_.retired - before.retired);
@@ -89,16 +96,19 @@ Core::runUops(std::uint64_t uops)
 
     const std::uint64_t target = stats_.retired + uops;
     const std::uint64_t cycle_bound = cycle_ + uops * 1000 + 10000;
+    std::uint64_t skipped = 0;
     while (stats_.retired < target) {
         if (cycle_ >= cycle_bound) {
             util::warn(util::cat("runUops safety bound hit at cycle ",
                                  cycle_, "; machine may be deadlocked"));
             break;
         }
-        stepCycle();
+        if (!stepCycle())
+            skipped += skipIdle(cycle_bound);
     }
 
     metrics.cycles.add(stats_.cycles - before.cycles);
+    metrics.skipped_cycles.add(skipped);
     metrics.fetched.add(stats_.fetched - before.fetched);
     metrics.issued.add(stats_.issued - before.issued);
     metrics.retired.add(stats_.retired - before.retired);
@@ -106,37 +116,121 @@ Core::runUops(std::uint64_t uops)
     metrics.mispredicts.add(stats_.mispredicts - before.mispredicts);
 }
 
-void
+bool
 Core::stepCycle()
 {
-    complete();
-    retire();
-    issue();
-    dispatch();
-    fetch();
+    // Every stage runs every cycle; `|` keeps the calls unconditional.
+    const bool progress =
+        complete() | retire() | issue() | dispatch() | fetch();
 
     ++interval_.cycles;
     ++stats_.cycles;
     ++cycle_;
+    return progress;
+}
+
+std::uint64_t
+Core::nextEventCycle() const
+{
+    std::uint64_t next = ~std::uint64_t{0};
+
+    // The earliest completion: the first non-empty wheel bucket at or
+    // after now's bucket, then the far heap. A ready op blocked on a
+    // busy unit needs no event of its own: after a cycle with no
+    // issue, a pipelined unit or AGEN is already free, and an
+    // unpipelined unit or an L1D MSHR is held exactly until the
+    // completion of the op that took it.
+    const std::uint64_t now_bucket = cycle_ & (wheel_size - 1);
+    for (std::uint64_t i = 0; i <= wheel_bits_.size(); ++i) {
+        const std::uint64_t w = (now_bucket / 64 + i) % wheel_bits_.size();
+        std::uint64_t bits = wheel_bits_[w];
+        if (i == 0)
+            bits &= ~std::uint64_t{0} << (now_bucket % 64);
+        if (bits) {
+            const std::uint64_t b = w * 64 + std::countr_zero(bits);
+            next = cycle_ + ((b - now_bucket) & (wheel_size - 1));
+            break;
+        }
+    }
+    if (!far_completions_.empty())
+        next = std::min(next, far_completions_.top().first);
+
+    // Fetch resumes after an I-miss fill, in a duty-on cycle, unless it
+    // waits on a mispredict (a completion) or a full buffer (dispatch).
+    if (redirect_seq_ == 0 && next_seq_ - tail_seq_ < cfg_.fetch_buffer) {
+        std::uint64_t t = std::max(cycle_, fetch_resume_cycle_);
+        if ((t & 7) >= cfg_.fetch_duty_x8)
+            t = (t | 7) + 1;
+        next = std::min(next, t);
+    }
+    return next;
+}
+
+std::uint64_t
+Core::skipIdle(std::uint64_t limit)
+{
+    // The cycles before the next event would repeat the idle cycle
+    // just stepped exactly; only the cycle counters move.
+    const std::uint64_t target = std::min(nextEventCycle(), limit);
+    if (target <= cycle_)
+        return 0;
+    const std::uint64_t n = target - cycle_;
+    cycle_ = target;
+    stats_.cycles += n;
+    interval_.cycles += n;
+    return n;
 }
 
 void
+Core::scheduleCompletion(std::uint32_t idx)
+{
+    WinEntry &e = window_[idx];
+    if (e.done_cycle <= cycle_ || e.done_cycle - cycle_ >= wheel_size) {
+        far_completions_.emplace(e.done_cycle, e.seq);
+        return;
+    }
+    const std::uint64_t b = e.done_cycle & (wheel_size - 1);
+    e.wheel_next = wheel_head_[b];
+    wheel_head_[b] = idx;
+    wheel_bits_[b / 64] |= std::uint64_t{1} << (b % 64);
+}
+
+bool
 Core::complete()
 {
-    while (!completions_.empty() &&
-           completions_.top().first <= cycle_) {
-        const std::uint64_t s = completions_.top().second;
-        completions_.pop();
+    // Every wheel entry in now's bucket is due now. Completions are
+    // handled in (done_cycle, seq) order: the predictor updates and
+    // the redirect check depend on it.
+    due_.clear();
+    const std::uint64_t b = cycle_ & (wheel_size - 1);
+    if (wheel_head_[b] != no_link) {
+        for (std::uint32_t i = wheel_head_[b]; i != no_link;
+             i = window_[i].wheel_next)
+            due_.emplace_back(window_[i].done_cycle, window_[i].seq);
+        wheel_head_[b] = no_link;
+        wheel_bits_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+    }
+    while (!far_completions_.empty() &&
+           far_completions_.top().first <= cycle_) {
+        due_.push_back(far_completions_.top());
+        far_completions_.pop();
+    }
+    if (due_.size() > 1)
+        std::sort(due_.begin(), due_.end());
+
+    for (const auto &[done, s] : due_) {
         WinEntry &e = slot(s);
         e.state = State::Done;
 
         // Wake consumers whose last outstanding producer this was.
-        for (std::uint64_t c : e.consumers) {
-            WinEntry &ce = slot(c);
+        for (std::uint32_t link = e.wake_head; link != no_link;) {
+            const std::uint32_t c = link >> 1;
+            WinEntry &ce = window_[c];
+            link = ce.wake_next[link & 1];
             if (--ce.remaining == 0 && ce.state == State::Waiting)
-                ready_.insert(c);
+                ready_[c / 64] |= std::uint64_t{1} << (c % 64);
         }
-        e.consumers.clear();
+        e.wake_head = no_link;
 
         if (isCtrlClass(e.uop.cls)) {
             ++stats_.branches;
@@ -146,14 +240,14 @@ Core::complete()
                 ++stats_.mispredicts;
                 redirect_seq_ = 0;
                 fetch_resume_cycle_ = std::max(
-                    fetch_resume_cycle_,
-                    e.done_cycle + cfg_.mispredict_penalty);
+                    fetch_resume_cycle_, done + cfg_.mispredict_penalty);
             }
         }
     }
+    return !due_.empty();
 }
 
-void
+bool
 Core::retire()
 {
     std::uint32_t n = 0;
@@ -177,9 +271,10 @@ Core::retire()
         ++stats_.retired;
         ++interval_.retired;
     }
+    return n != 0;
 }
 
-void
+bool
 Core::issue()
 {
     std::uint32_t issued = 0;
@@ -194,23 +289,17 @@ Core::issue()
         return nullptr;
     };
 
-    for (auto it = ready_.begin();
-         it != ready_.end() && issued < width;) {
-        const std::uint64_t s = *it;
-        WinEntry &e = slot(s);
-
+    // Issue ring slot idx unless its resources are taken.
+    auto try_issue = [&](std::uint32_t idx) {
+        WinEntry &e = window_[idx];
         const UopClass cls = e.uop.cls;
         if (isMemClass(cls)) {
             if (dports_used >= cfg_.l1d_ports ||
-                !mem_.mshrAvailable(cycle_)) {
-                ++it;
-                continue;
-            }
+                !mem_.mshrAvailable(cycle_))
+                return;
             auto *agen = find_free(agen_busy_);
-            if (!agen) {
-                ++it;
-                continue;
-            }
+            if (!agen)
+                return;
             *agen = cycle_ + 1;
             ++dports_used;
             ++interval_.l1d_acc;
@@ -219,10 +308,8 @@ Core::issue()
             e.done_cycle = res.done_cycle;
         } else if (isFpClass(cls)) {
             auto *fu = find_free(fp_fu_busy_);
-            if (!fu) {
-                ++it;
-                continue;
-            }
+            if (!fu)
+                return;
             if (cls == UopClass::FpDiv) {
                 // Not pipelined: the unit is held for the full op.
                 *fu = cycle_ + cfg_.lat_fp_div;
@@ -236,10 +323,8 @@ Core::issue()
         } else {
             // Integer and control ops share the integer units.
             auto *fu = find_free(int_fu_busy_);
-            if (!fu) {
-                ++it;
-                continue;
-            }
+            if (!fu)
+                return;
             std::uint32_t lat = cfg_.lat_int_add;
             bool pipelined = true;
             if (cls == UopClass::IntMul) {
@@ -254,24 +339,43 @@ Core::issue()
         }
 
         e.state = State::Issued;
-        completions_.emplace(e.done_cycle, s);
-        it = ready_.erase(it);
+        scheduleCompletion(idx);
+        ready_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
         ++issued;
         ++stats_.issued;
         ++interval_.iwin_ops;
+    };
+
+    // Oldest first: scan the ready bits from the head's slot up to the
+    // end of the ring, then wrap to the slots below it.
+    const std::uint32_t start = ringIndex(head_seq_);
+    const std::size_t words = ready_.size();
+    const std::uint64_t below_start =
+        (std::uint64_t{1} << (start % 64)) - 1;
+    for (std::size_t i = 0; i <= words && issued < width; ++i) {
+        const std::size_t w = (start / 64 + i) % words;
+        std::uint64_t bits = ready_[w];
+        if (i == 0)
+            bits &= ~below_start;
+        else if (i == words)
+            bits &= below_start;
+        while (bits && issued < width) {
+            try_issue(static_cast<std::uint32_t>(
+                w * 64 + std::countr_zero(bits)));
+            bits &= bits - 1;
+        }
     }
+    return issued != 0;
 }
 
-void
+bool
 Core::dispatch()
 {
     std::uint32_t n = 0;
-    std::size_t consumed = 0;
-    while (n < cfg_.fetch_width && consumed < fetch_buffer_.size()) {
+    while (n < cfg_.fetch_width && tail_seq_ < next_seq_) {
         if (tail_seq_ - head_seq_ >= cfg_.window_size)
             break; // window full
-        const FetchedUop &f = fetch_buffer_[consumed];
-        const Uop &u = f.uop;
+        const Uop &u = fetch_buffer_[tail_seq_ & fetch_mask_];
 
         if (isMemClass(u.cls) && lsq_used_ >= cfg_.mem_queue)
             break;
@@ -280,35 +384,35 @@ Core::dispatch()
         if (u.writes_fp && free_fp_regs_ == 0)
             break;
 
-        if (f.seq != tail_seq_)
-            util::panic("dispatch out of sequence");
-
-        WinEntry &e = slot(tail_seq_);
+        const std::uint64_t seq = tail_seq_;
+        const std::uint32_t idx = ringIndex(seq);
+        WinEntry &e = window_[idx];
         e.uop = u;
-        e.seq = tail_seq_;
+        e.seq = seq;
         e.state = State::Waiting;
         e.done_cycle = 0;
         e.in_lsq = false;
         e.remaining = 0;
-        e.consumers.clear();
+        e.wake_head = no_link;
 
         std::uint32_t reads = 0;
-        for (int i = 0; i < 2; ++i) {
+        for (std::uint32_t i = 0; i < 2; ++i) {
             const std::uint16_t d = u.src_dist[i];
-            if (d == 0 || d > f.seq)
+            if (d == 0 || d > seq)
                 continue; // no register operand
             ++reads;
-            const std::uint64_t p = f.seq - d;
+            const std::uint64_t p = seq - d;
             if (p < head_seq_)
                 continue; // producer already retired
             WinEntry &pe = slot(p);
             if (pe.state != State::Done) {
-                pe.consumers.push_back(f.seq);
+                e.wake_next[i] = pe.wake_head;
+                pe.wake_head = idx << 1 | i;
                 ++e.remaining;
             }
         }
         if (e.remaining == 0)
-            ready_.insert(f.seq);
+            ready_[idx / 64] |= std::uint64_t{1} << (idx % 64);
 
         if (isMemClass(u.cls)) {
             e.in_lsq = true;
@@ -330,30 +434,26 @@ Core::dispatch()
         }
 
         ++tail_seq_;
-        ++consumed;
         ++n;
         ++stats_.dispatched;
         ++interval_.iwin_ops;
     }
-    if (consumed)
-        fetch_buffer_.erase(fetch_buffer_.begin(),
-                            fetch_buffer_.begin() +
-                                static_cast<std::ptrdiff_t>(consumed));
+    return n != 0;
 }
 
-void
+bool
 Core::fetch()
 {
     if (redirect_seq_ != 0 || cycle_ < fetch_resume_cycle_)
-        return;
+        return false;
     // DTM fetch toggling: the front end runs fetch_duty_x8 of every
     // eight cycles.
     if ((cycle_ & 7) >= cfg_.fetch_duty_x8)
-        return;
+        return false;
 
     for (std::uint32_t n = 0; n < cfg_.fetch_width; ++n) {
-        if (fetch_buffer_.size() >= cfg_.fetch_buffer)
-            return;
+        if (next_seq_ - tail_seq_ >= cfg_.fetch_buffer)
+            return n != 0;
 
         Uop u;
         if (have_pending_) {
@@ -374,7 +474,7 @@ Core::fetch()
                 pending_ = u;
                 have_pending_ = true;
                 fetch_resume_cycle_ = res.done_cycle;
-                return;
+                return true;
             }
         }
 
@@ -392,7 +492,7 @@ Core::fetch()
             }
         }
 
-        fetch_buffer_.push_back({u, seq});
+        fetch_buffer_[seq & fetch_mask_] = u;
         ++stats_.fetched;
         ++interval_.fetched;
 
@@ -400,9 +500,10 @@ Core::fetch()
             // Trace-driven redirect model: stop fetching until the
             // mispredicted op resolves, then pay the refill penalty.
             redirect_seq_ = seq;
-            return;
+            return true;
         }
     }
+    return true;
 }
 
 ActivitySample

@@ -23,13 +23,27 @@
  *   L1D          : accesses / (ports x cycles)
  *   L1I          : block fetches / cycles
  *   FrontEnd     : uops fetched / (fetch width x cycles)
+ *
+ * Simulation speed. The pipeline state lives in fixed event
+ * structures sized by the window: a ring of bit_ceil(window) slots
+ * indexed by seq & mask (the occupancy cap stays the configured
+ * window), one ready bit per slot scanned oldest-first from the ROB
+ * head, intrusive wakeup lists (one link per consumer operand), and
+ * a 256-bucket completion wheel whose buckets are handled in seq
+ * order, with a small heap for completions 256 or more cycles out.
+ * After a cycle in which no stage changed state the core jumps to the
+ * next timed event -- the earliest completion (which is also when a
+ * held unit or MSHR frees) or the fetch resume/duty-on cycle -- and
+ * only the cycle counters move over the skipped span. Every timing
+ * decision is bit-identical to stepping each cycle with an ordered
+ * ready set and a completion heap; tests/sim/core_test.cc pins this.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <queue>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -145,6 +159,13 @@ class Core
         Done,      ///< Completed, awaiting in-order retire.
     };
 
+    /** End of an intrusive list (wakeup or completion bucket). */
+    static constexpr std::uint32_t no_link = ~std::uint32_t{0};
+    /** Completion-wheel buckets; completions this many or more
+     *  cycles out, or due in their issue cycle, wait in the far heap
+     *  instead. */
+    static constexpr std::uint64_t wheel_size = 256;
+
     struct WinEntry
     {
         Uop uop;
@@ -154,28 +175,38 @@ class Core
         bool in_lsq = false;
         /** Outstanding (not yet completed) producers. */
         std::uint8_t remaining = 0;
-        /** Seqs of in-flight consumers to wake on completion. */
-        std::vector<std::uint64_t> consumers;
+        /** First link of the list of consumers to wake on completion.
+         *  A link is (ring slot << 1 | operand index). */
+        std::uint32_t wake_head = no_link;
+        /** Next link after this entry's operand i in its producer's
+         *  wakeup list. */
+        std::uint32_t wake_next[2] = {no_link, no_link};
+        /** Next ring slot in the same completion-wheel bucket. */
+        std::uint32_t wheel_next = no_link;
     };
 
-    void stepCycle();
-    void retire();
-    void complete();
-    void issue();
-    void dispatch();
-    void fetch();
+    /** One cycle of all stages; false when no stage changed state. */
+    bool stepCycle();
+    bool complete();
+    bool retire();
+    bool issue();
+    bool dispatch();
+    bool fetch();
 
-    const WinEntry *findEntry(std::uint64_t seq) const;
+    /** Queue entry `idx`'s completion at its done_cycle. */
+    void scheduleCompletion(std::uint32_t idx);
+    /** Earliest cycle >= now() at which some stage could progress. */
+    std::uint64_t nextEventCycle() const;
+    /** After an idle cycle, jump to the next event (at most to
+     *  `limit`); returns the cycles skipped. */
+    std::uint64_t skipIdle(std::uint64_t limit);
 
-    /** Ring-buffer slot for a window sequence number. */
-    WinEntry &slot(std::uint64_t seq)
+    /** Ring index for a window sequence number. */
+    std::uint32_t ringIndex(std::uint64_t seq) const
     {
-        return window_[seq % window_.size()];
+        return static_cast<std::uint32_t>(seq & window_mask_);
     }
-    const WinEntry &slot(std::uint64_t seq) const
-    {
-        return window_[seq % window_.size()];
-    }
+    WinEntry &slot(std::uint64_t seq) { return window_[ringIndex(seq)]; }
 
     MachineConfig cfg_;
     UopSource &source_;
@@ -186,18 +217,19 @@ class Core
     std::uint64_t cycle_ = 0;
     std::uint64_t next_seq_ = 1;   ///< Seq of the next fetched uop.
 
-    // Window ring: [head_seq_, tail_seq_) are live entries.
+    // Window ring of bit_ceil(window_size) slots indexed by
+    // seq & window_mask_: [head_seq_, tail_seq_) are live entries,
+    // at most cfg_.window_size of them.
     std::vector<WinEntry> window_;
+    std::uint64_t window_mask_ = 0;
     std::uint64_t head_seq_ = 1;
     std::uint64_t tail_seq_ = 1;
 
-    // Fetch -> dispatch buffer (decoupled front end).
-    struct FetchedUop
-    {
-        Uop uop;
-        std::uint64_t seq;
-    };
-    std::vector<FetchedUop> fetch_buffer_;
+    // Fetch -> dispatch buffer (decoupled front end): the fetched,
+    // not yet dispatched seqs [tail_seq_, next_seq_), in a ring
+    // indexed by seq & fetch_mask_.
+    std::vector<Uop> fetch_buffer_;
+    std::uint64_t fetch_mask_ = 0;
 
     // Fetch stall state.
     std::uint64_t fetch_resume_cycle_ = 0;  ///< I-miss / redirect wait.
@@ -206,14 +238,21 @@ class Core
     Uop pending_;                     ///< Uop stalled on an I-miss.
     std::uint64_t last_fetch_block_ = ~std::uint64_t{0};
 
-    // Event-driven scheduling state: completions as a min-heap of
-    // (done_cycle, seq); operand-ready entries as an ordered set so
-    // issue selection stays oldest-first.
+    // Operand-ready entries: one bit per ring slot. Issue scans from
+    // head_seq_'s slot, so selection stays oldest-first.
+    std::vector<std::uint64_t> ready_;
+
+    // Completions: a wheel of wheel_size buckets (intrusive lists of
+    // ring slots whose done_cycle is bucket-index congruent and 1 to
+    // wheel_size - 1 cycles out), a bitmap of non-empty buckets, and
+    // a min-heap of (done_cycle, seq) for all other completions.
     using Completion = std::pair<std::uint64_t, std::uint64_t>;
+    std::array<std::uint32_t, wheel_size> wheel_head_{};
+    std::array<std::uint64_t, wheel_size / 64> wheel_bits_{};
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>
-        completions_;
-    std::set<std::uint64_t> ready_;
+        far_completions_;
+    std::vector<Completion> due_;  ///< complete() scratch.
 
     // Resource state.
     std::vector<std::uint64_t> int_fu_busy_;   ///< busy-until cycles.

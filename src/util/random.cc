@@ -101,9 +101,15 @@ Rng::geometric(double p)
         panic(cat("Rng::geometric needs p in (0,1], got ", p));
     if (p == 1.0)
         return 1;
+    return geometricLog1m(std::log1p(-p));
+}
+
+std::uint64_t
+Rng::geometricLog1m(double log1m_p)
+{
     // Inversion: ceil(ln(U) / ln(1-p)).
     const double u = 1.0 - uniform(); // in (0, 1]
-    const double v = std::ceil(std::log(u) / std::log1p(-p));
+    const double v = std::ceil(std::log(u) / log1m_p);
     return v < 1.0 ? 1 : static_cast<std::uint64_t>(v);
 }
 

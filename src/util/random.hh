@@ -52,6 +52,12 @@ class Rng
      */
     std::uint64_t geometric(double p);
 
+    /**
+     * geometric(p) for p in (0, 1), given log1p(-p): the same variate
+     * from the same draw, for callers that sample one p many times.
+     */
+    std::uint64_t geometricLog1m(double log1m_p);
+
     /** Exponential variate with the given mean (> 0). */
     double exponential(double mean);
 

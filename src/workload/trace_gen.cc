@@ -1,6 +1,7 @@
 #include "workload/trace_gen.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 
@@ -34,6 +35,8 @@ TraceGenerator::TraceGenerator(const AppProfile &profile,
     cur_pc_ = code_base_;
     phase_left_ = profile_.phases[0].length_uops;
     shadow_stack_.reserve(profile_.branch.max_call_depth);
+    dep_p_ = std::min(1.0, 1.0 / profile_.dep.mean_dist);
+    dep_log1m_p_ = std::log1p(-dep_p_);
 
     // Build the static branch sites: fixed pc, fixed taken target,
     // per-site bias drawn once.
@@ -132,17 +135,18 @@ void
 TraceGenerator::fillDeps(Uop &u)
 {
     const DepBehavior &dep = profile_.dep;
-    const double p = std::min(1.0, 1.0 / dep.mean_dist);
     const double scale =
         sim::isCtrlClass(u.cls) ? dep.ctrl_dep_scale : 1.0;
-    if (rng_.chance(dep.p_src1 * scale)) {
-        u.src_dist[0] = static_cast<std::uint16_t>(
-            std::min<std::uint64_t>(rng_.geometric(p), 500));
-    }
-    if (rng_.chance(dep.p_src2 * scale)) {
-        u.src_dist[1] = static_cast<std::uint16_t>(
-            std::min<std::uint64_t>(rng_.geometric(p), 500));
-    }
+    auto dist = [&] {
+        const std::uint64_t d = dep_p_ > 0.0 && dep_p_ < 1.0
+                                    ? rng_.geometricLog1m(dep_log1m_p_)
+                                    : rng_.geometric(dep_p_);
+        return static_cast<std::uint16_t>(std::min<std::uint64_t>(d, 500));
+    };
+    if (rng_.chance(dep.p_src1 * scale))
+        u.src_dist[0] = dist();
+    if (rng_.chance(dep.p_src2 * scale))
+        u.src_dist[1] = dist();
 }
 
 Uop

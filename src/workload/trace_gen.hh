@@ -77,6 +77,9 @@ class TraceGenerator : public sim::UopSource
     std::uint64_t code_base_;
     std::uint64_t data_base_;
     std::uint64_t stream_pos_ = 0;  ///< Sequential-walk offset.
+
+    double dep_p_ = 1.0;        ///< Geometric dependence-distance p.
+    double dep_log1m_p_ = 0.0;  ///< log1p(-dep_p_), computed once.
 };
 
 } // namespace workload
