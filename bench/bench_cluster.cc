@@ -7,9 +7,10 @@
  * build's own binary), each replicating its eval cache to the other
  * three (--peers / cache_append), fronted by an in-process
  * route::Router. 64 worker threads drive a deterministic mixed
- * v0/v2 request stream through the router; mid-run a controller
- * thread SIGKILLs one backend, deletes its cache log, and restarts
- * it on the same port.
+ * v0/v2 request stream through the router; mid-run the main thread
+ * SIGKILLs one backend, deletes its cache log, and restarts it on
+ * the same port. Every backend dies with the bench, however the
+ * bench ends (see spawnBackend).
  *
  * Everything is checked, nothing assumed:
  *
@@ -50,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -200,6 +202,11 @@ pinChip(const route::HashRing &ring, std::size_t worker,
     }
 }
 
+/** Fork a backend that dies with the bench. PR_SET_PDEATHSIG fires
+ *  when the *forking thread* exits, so call this from the main
+ *  thread only: then every way the bench can end (return,
+ *  util::fatal's exit, util::panic's abort, SIGKILL) takes the
+ *  backends with it. */
 pid_t
 spawnBackend(const std::vector<std::string> &args)
 {
@@ -208,8 +215,13 @@ spawnBackend(const std::vector<std::string> &args)
     for (const auto &arg : args)
         argv.push_back(const_cast<char *>(arg.c_str()));
     argv.push_back(nullptr);
+    const pid_t parent = getpid();
     const pid_t pid = fork();
     if (pid == 0) {
+        // The bench may have died before the prctl took effect.
+        if (prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 ||
+            getppid() != parent)
+            _exit(127);
         execv(argv[0], argv.data());
         _exit(127);
     }
@@ -341,6 +353,7 @@ main(int argc, char **argv)
             util::fatal(util::cat("bench_cluster: backend ", b,
                                   " (port ", ports[b],
                                   ") never became ready"));
+    std::fprintf(stderr, "bench_cluster: backends ready\n");
 
     // --- The direct oracle: same engine configuration as the
     // backends (ramp_served uses default EvalParams), warmed and
@@ -489,7 +502,6 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(cluster.connections) *
         cluster.requests;
     std::atomic<std::uint64_t> completed{0};
-    std::atomic<bool> workers_done{false};
     double killed_after_s = -1.0, restarted_after_s = -1.0;
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -498,38 +510,6 @@ main(int argc, char **argv)
                    std::chrono::steady_clock::now() - t0)
             .count();
     };
-
-    std::thread controller([&] {
-        const std::uint64_t trigger = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(
-                   static_cast<double>(issued) * cluster.kill_at));
-        while (completed.load(std::memory_order_relaxed) < trigger &&
-               !workers_done.load(std::memory_order_relaxed))
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        kill(pids[victim], SIGKILL);
-        waitpid(pids[victim], nullptr, 0);
-        killed_after_s = since_t0();
-        std::fprintf(stderr,
-                     "bench_cluster: killed backend %zu at %.2f s "
-                     "(%llu/%llu done)\n",
-                     victim, killed_after_s,
-                     static_cast<unsigned long long>(
-                         completed.load(std::memory_order_relaxed)),
-                     static_cast<unsigned long long>(issued));
-        // Delete its log: everything it knows after restart must
-        // have come over the wire from its peers.
-        std::remove(cacheFile(victim).c_str());
-        std::this_thread::sleep_for(std::chrono::seconds(1));
-        pids[victim] = spawnBackend(backendArgs(victim));
-        if (!waitReady(ports[victim], 60'000))
-            util::fatal("bench_cluster: victim never came back");
-        restarted_after_s = since_t0();
-        std::fprintf(stderr,
-                     "bench_cluster: restarted backend %zu at "
-                     "%.2f s\n",
-                     victim, restarted_after_s);
-    });
 
     std::vector<WorkerTally> tallies(cluster.connections);
     std::vector<std::thread> workers;
@@ -654,10 +634,39 @@ main(int argc, char **argv)
             }
         });
     }
+
+    // The controller runs here, not on its own thread: the victim's
+    // respawn must come from the main thread (see spawnBackend).
+    // Every step bumps `completed`, so this wait always ends.
+    const std::uint64_t trigger = std::min<std::uint64_t>(
+        issued, std::max<std::uint64_t>(
+                    1, static_cast<std::uint64_t>(
+                           static_cast<double>(issued) * cluster.kill_at)));
+    while (completed.load(std::memory_order_relaxed) < trigger)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    kill(pids[victim], SIGKILL);
+    waitpid(pids[victim], nullptr, 0);
+    killed_after_s = since_t0();
+    std::fprintf(stderr,
+                 "bench_cluster: killed backend %zu at %.2f s "
+                 "(%llu/%llu done)\n",
+                 victim, killed_after_s,
+                 static_cast<unsigned long long>(
+                     completed.load(std::memory_order_relaxed)),
+                 static_cast<unsigned long long>(issued));
+    // Delete its log: everything it knows after restart must have come
+    // over the wire from its peers.
+    std::remove(cacheFile(victim).c_str());
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    pids[victim] = spawnBackend(backendArgs(victim));
+    if (!waitReady(ports[victim], 60'000))
+        util::fatal("bench_cluster: victim never came back");
+    restarted_after_s = since_t0();
+    std::fprintf(stderr, "bench_cluster: restarted backend %zu at %.2f s\n",
+                 victim, restarted_after_s);
+
     for (auto &worker : workers)
         worker.join();
-    workers_done.store(true, std::memory_order_relaxed);
-    controller.join();
     const double wall_s = since_t0();
 
     WorkerTally total;

@@ -63,7 +63,9 @@ main(int argc, char **argv)
         qual, on, op.temps_k, op.activity.activity, 1.0, 4.0);
 
     // 3. Machine-readable output.
-    core::writeJson(std::cout, op);
-    core::writeJson(std::cout, report);
+    util::writeJson(std::cout, core::toJson(op));
+    std::cout << '\n';
+    util::writeJson(std::cout, core::toJson(report));
+    std::cout << '\n';
     return 0;
 }

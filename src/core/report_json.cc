@@ -1,90 +1,95 @@
 #include "core/report_json.hh"
 
-#include <ostream>
 #include <string>
-
-#include "util/json.hh"
 
 namespace ramp {
 namespace core {
 
 using sim::allStructures;
 using sim::structureIndex;
+using util::JsonValue;
 
-void
-writeJson(std::ostream &os, const OperatingPoint &op)
+namespace {
+
+JsonValue
+num(double v)
 {
-    util::JsonWriter w(os);
-    w.beginObject();
-
-    w.key("config").beginObject();
-    w.kv("describe", op.config.describe());
-    w.kv("frequency_ghz", op.config.frequency_ghz);
-    w.kv("voltage_v", op.config.voltage_v);
-    w.kv("window", std::uint64_t{op.config.window_size});
-    w.kv("int_alu", std::uint64_t{op.config.num_int_alu});
-    w.kv("fpu", std::uint64_t{op.config.num_fpu});
-    w.endObject();
-
-    w.kv("ipc", op.ipc());
-    w.kv("uops_per_second", op.uopsPerSecond());
-    w.kv("power_dynamic_w", op.power.totalDynamic());
-    w.kv("power_leakage_w", op.power.totalLeakage());
-    w.kv("power_total_w", op.totalPower());
-    w.kv("temp_max_k", op.maxTemp());
-    w.kv("temp_avg_k", op.avgTemp());
-    w.kv("temp_sink_k", op.sink_temp_k);
-    w.kv("l1d_miss_ratio", op.l1d_miss_ratio);
-    w.kv("l1i_miss_ratio", op.l1i_miss_ratio);
-    w.kv("l2_miss_ratio", op.l2_miss_ratio);
-    w.kv("mispredict_rate", op.stats.mispredictRate());
-
-    w.key("structures").beginObject();
-    for (auto s : allStructures()) {
-        const auto i = structureIndex(s);
-        w.key(std::string(sim::structureName(s))).beginObject();
-        w.kv("activity", op.activity.activity[i]);
-        w.kv("temp_k", op.temps_k[i]);
-        w.kv("power_w", op.power.dynamic_w[i] + op.power.leakage_w[i]);
-        w.endObject();
-    }
-    w.endObject();
-
-    w.endObject();
-    os << '\n';
+    return JsonValue::makeNumber(v);
 }
 
-void
-writeJson(std::ostream &os, const FitReport &report)
+} // namespace
+
+JsonValue
+toJson(const OperatingPoint &op)
 {
-    util::JsonWriter w(os);
-    w.beginObject();
-    w.kv("total_fit", report.totalFit());
-    w.kv("mttf_years", report.mttfYears());
-    w.kv("total_time_s", report.total_time_s);
+    JsonValue config = JsonValue::makeObject();
+    config.set("describe", JsonValue::makeString(op.config.describe()))
+        .set("frequency_ghz", num(op.config.frequency_ghz))
+        .set("voltage_v", num(op.config.voltage_v))
+        .set("window", num(op.config.window_size))
+        .set("int_alu", num(op.config.num_int_alu))
+        .set("fpu", num(op.config.num_fpu));
 
-    w.key("by_mechanism").beginObject();
-    for (auto m : allMechanisms())
-        w.kv(std::string(mechanismName(m)), report.mechanismFit(m));
-    w.endObject();
+    JsonValue root = JsonValue::makeObject();
+    root.set("config", std::move(config))
+        .set("ipc", num(op.ipc()))
+        .set("uops_per_second", num(op.uopsPerSecond()))
+        .set("power_dynamic_w", num(op.power.totalDynamic()))
+        .set("power_leakage_w", num(op.power.totalLeakage()))
+        .set("power_total_w", num(op.totalPower()))
+        .set("temp_max_k", num(op.maxTemp()))
+        .set("temp_avg_k", num(op.avgTemp()))
+        .set("temp_sink_k", num(op.sink_temp_k))
+        .set("l1d_miss_ratio", num(op.l1d_miss_ratio))
+        .set("l1i_miss_ratio", num(op.l1i_miss_ratio))
+        .set("l2_miss_ratio", num(op.l2_miss_ratio))
+        .set("mispredict_rate", num(op.stats.mispredictRate()));
 
-    w.key("by_structure").beginObject();
+    JsonValue structures = JsonValue::makeObject();
     for (auto s : allStructures()) {
         const auto i = structureIndex(s);
-        w.key(std::string(sim::structureName(s))).beginObject();
-        w.kv("fit", report.structureFit(s));
-        w.kv("avg_temp_k", report.avg_temp_k[i]);
-        w.key("mechanisms").beginObject();
-        for (auto m : allMechanisms())
-            w.kv(std::string(mechanismName(m)),
-                 report.fit[i][mechanismIndex(m)]);
-        w.endObject();
-        w.endObject();
+        JsonValue entry = JsonValue::makeObject();
+        entry.set("activity", num(op.activity.activity[i]))
+            .set("temp_k", num(op.temps_k[i]))
+            .set("power_w",
+                 num(op.power.dynamic_w[i] + op.power.leakage_w[i]));
+        structures.set(std::string(sim::structureName(s)),
+                       std::move(entry));
     }
-    w.endObject();
+    root.set("structures", std::move(structures));
+    return root;
+}
 
-    w.endObject();
-    os << '\n';
+JsonValue
+toJson(const FitReport &report)
+{
+    JsonValue root = JsonValue::makeObject();
+    root.set("total_fit", num(report.totalFit()))
+        .set("mttf_years", num(report.mttfYears()))
+        .set("total_time_s", num(report.total_time_s));
+
+    JsonValue by_mechanism = JsonValue::makeObject();
+    for (auto m : allMechanisms())
+        by_mechanism.set(std::string(mechanismName(m)),
+                         num(report.mechanismFit(m)));
+    root.set("by_mechanism", std::move(by_mechanism));
+
+    JsonValue by_structure = JsonValue::makeObject();
+    for (auto s : allStructures()) {
+        const auto i = structureIndex(s);
+        JsonValue mechanisms = JsonValue::makeObject();
+        for (auto m : allMechanisms())
+            mechanisms.set(std::string(mechanismName(m)),
+                           num(report.fit[i][mechanismIndex(m)]));
+        JsonValue entry = JsonValue::makeObject();
+        entry.set("fit", num(report.structureFit(s)))
+            .set("avg_temp_k", num(report.avg_temp_k[i]))
+            .set("mechanisms", std::move(mechanisms));
+        by_structure.set(std::string(sim::structureName(s)),
+                         std::move(entry));
+    }
+    root.set("by_structure", std::move(by_structure));
+    return root;
 }
 
 } // namespace core

@@ -1,26 +1,24 @@
 /**
  * @file
- * JSON serialisation of the library's result types, for plotting
- * scripts and CI diffing. Each function emits one complete JSON
- * value to the stream.
+ * JSON documents for the library's result types, for plotting
+ * scripts and CI diffing. Each function builds one complete
+ * document; serialize it with util::writeJson.
  */
 
 #pragma once
 
-#include <iosfwd>
-
 #include "core/engine.hh"
 #include "core/evaluator.hh"
+#include "util/json.hh"
 
 namespace ramp {
 namespace core {
 
-/** Emit an operating point (config, IPC, power, temps, misses). */
-void writeJson(std::ostream &os, const OperatingPoint &op);
+/** An operating point (config, IPC, power, temps, misses). */
+util::JsonValue toJson(const OperatingPoint &op);
 
-/** Emit a FIT report (per structure x mechanism, totals, MTTF). */
-void writeJson(std::ostream &os, const FitReport &report);
+/** A FIT report (per structure x mechanism, totals, MTTF). */
+util::JsonValue toJson(const FitReport &report);
 
 } // namespace core
 } // namespace ramp
-

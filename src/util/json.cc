@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
@@ -10,197 +11,6 @@
 
 namespace ramp {
 namespace util {
-
-JsonWriter::JsonWriter(std::ostream &os) : os_(os) {}
-
-void
-JsonWriter::separator()
-{
-    if (root_done_)
-        panic("JsonWriter: writing past a complete root value");
-    if (!stack_.empty() && stack_.back() == 'O')
-        panic("JsonWriter: value emitted where a key is expected");
-    if (need_comma_)
-        os_ << ',';
-}
-
-void
-JsonWriter::writeEscaped(std::string_view s)
-{
-    os_ << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os_ << "\\\"";
-            break;
-          case '\\':
-            os_ << "\\\\";
-            break;
-          case '\n':
-            os_ << "\\n";
-            break;
-          case '\t':
-            os_ << "\\t";
-            break;
-          case '\r':
-            os_ << "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os_ << buf;
-            } else {
-                os_ << c;
-            }
-        }
-    }
-    os_ << '"';
-}
-
-namespace {
-
-/** After emitting a value, an enclosing object flips back to
- *  expecting a key; arrays stay arrays. */
-void
-afterValue(std::vector<char> &stack, bool &need_comma,
-           bool &root_done)
-{
-    if (stack.empty()) {
-        root_done = true;
-    } else if (stack.back() == 'V') {
-        stack.back() = 'O';
-    }
-    need_comma = true;
-}
-
-} // namespace
-
-JsonWriter &
-JsonWriter::beginObject()
-{
-    separator();
-    os_ << '{';
-    stack_.push_back('O');
-    need_comma_ = false;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endObject()
-{
-    if (stack_.empty() || stack_.back() != 'O')
-        panic("JsonWriter: endObject outside an object");
-    stack_.pop_back();
-    os_ << '}';
-    afterValue(stack_, need_comma_, root_done_);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::beginArray()
-{
-    separator();
-    os_ << '[';
-    stack_.push_back('A');
-    need_comma_ = false;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endArray()
-{
-    if (stack_.empty() || stack_.back() != 'A')
-        panic("JsonWriter: endArray outside an array");
-    stack_.pop_back();
-    os_ << ']';
-    afterValue(stack_, need_comma_, root_done_);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::key(std::string_view name)
-{
-    if (stack_.empty() || stack_.back() != 'O')
-        panic("JsonWriter: key outside an object");
-    if (need_comma_)
-        os_ << ',';
-    writeEscaped(name);
-    os_ << ':';
-    stack_.back() = 'V';
-    need_comma_ = false;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(std::string_view v)
-{
-    separator();
-    writeEscaped(v);
-    afterValue(stack_, need_comma_, root_done_);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string_view(v));
-}
-
-JsonWriter &
-JsonWriter::value(double v)
-{
-    if (!std::isfinite(v))
-        return null();
-    separator();
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    os_ << buf;
-    afterValue(stack_, need_comma_, root_done_);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(std::int64_t v)
-{
-    separator();
-    os_ << v;
-    afterValue(stack_, need_comma_, root_done_);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(std::uint64_t v)
-{
-    separator();
-    os_ << v;
-    afterValue(stack_, need_comma_, root_done_);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(bool v)
-{
-    separator();
-    os_ << (v ? "true" : "false");
-    afterValue(stack_, need_comma_, root_done_);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::null()
-{
-    separator();
-    os_ << "null";
-    afterValue(stack_, need_comma_, root_done_);
-    return *this;
-}
-
-bool
-JsonWriter::complete() const
-{
-    return root_done_ && stack_.empty();
-}
 
 const JsonValue *
 JsonValue::find(std::string_view key) const

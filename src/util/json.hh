@@ -1,11 +1,12 @@
 /**
  * @file
- * Minimal streaming JSON writer for machine-readable experiment
- * output (plotting scripts, CI diffing) plus a small recursive-
- * descent parser used to validate emitted files (telemetry metrics
- * and trace-event output) in tests and tooling. The writer handles
- * nesting, commas, string escaping, and non-finite numbers (emitted
- * as null, since JSON has no NaN/Inf).
+ * The project's one JSON emitter and parser. Every machine-readable
+ * document (reports, traces, metrics, protocol messages, bench
+ * artifacts) is built as a JsonValue tree and serialized by
+ * writeJson: one string escaper, one number formatter (shortest
+ * round-trip form; non-finite numbers become null, since JSON has
+ * no NaN/Inf). parseJson is the strict recursive-descent reader
+ * that tests, tooling and the serve protocol use to read them back.
  */
 
 #pragma once
@@ -20,67 +21,6 @@
 
 namespace ramp {
 namespace util {
-
-/** Streaming JSON writer over an ostream. */
-class JsonWriter
-{
-  public:
-    /** Write to the stream; the stream must outlive the writer. */
-    explicit JsonWriter(std::ostream &os);
-
-    /** Start the root (or a nested) object. */
-    JsonWriter &beginObject();
-
-    /** Close the innermost object. */
-    JsonWriter &endObject();
-
-    /** Start an array (as a value or root). */
-    JsonWriter &beginArray();
-
-    /** Close the innermost array. */
-    JsonWriter &endArray();
-
-    /** Emit an object key; must be followed by exactly one value. */
-    JsonWriter &key(std::string_view name);
-
-    /** Emit a string value. */
-    JsonWriter &value(std::string_view v);
-    JsonWriter &value(const char *v);
-
-    /** Emit a number (null when not finite). */
-    JsonWriter &value(double v);
-    JsonWriter &value(std::int64_t v);
-    JsonWriter &value(std::uint64_t v);
-
-    /** Emit a boolean. */
-    JsonWriter &value(bool v);
-
-    /** Emit null. */
-    JsonWriter &null();
-
-    /** Shorthand: key + value. */
-    template <typename T>
-    JsonWriter &
-    kv(std::string_view name, T v)
-    {
-        key(name);
-        return value(v);
-    }
-
-    /** True once the root value is complete and balanced. */
-    bool complete() const;
-
-  private:
-    void separator();
-    void writeEscaped(std::string_view s);
-
-    std::ostream &os_;
-    /** Stack: 'O' in object (expecting key), 'V' in object
-     *  (expecting value), 'A' in array. */
-    std::vector<char> stack_;
-    bool need_comma_ = false;
-    bool root_done_ = false;
-};
 
 /** A parsed JSON document node. */
 struct JsonValue
@@ -138,7 +78,7 @@ struct JsonValue
  * with the shortest representation that parses back to the same
  * double (integral values in range print without an exponent or
  * fraction). Non-finite numbers cannot be represented and are
- * emitted as null, as JsonWriter does.
+ * emitted as null.
  */
 void writeJson(std::ostream &os, const JsonValue &value);
 

@@ -407,36 +407,40 @@ Registry::recordInstant(std::string_view name, std::string_view cat,
 void
 Registry::writeTraceJson(std::ostream &os) const
 {
+    using util::JsonValue;
     std::lock_guard lock(trace_mu_);
-    util::JsonWriter w(os);
-    w.beginObject();
-    w.key("traceEvents").beginArray();
-    for (const Span &s : spans_) {
-        w.beginObject();
-        w.kv("name", std::string_view(s.name));
-        w.kv("cat", std::string_view(s.cat.empty() ? "ramp" : s.cat));
-        w.kv("ph", s.instant ? "i" : "X");
-        w.kv("pid", std::int64_t{1});
-        w.kv("tid", std::uint64_t{s.tid});
-        w.kv("ts", s.ts_us);
-        if (s.instant)
-            w.kv("s", "t"); // thread-scoped instant
+    // Streamed one span at a time: a tree for the whole trace would
+    // cost far more than the span buffer it serializes.
+    os << "{\"traceEvents\":[";
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+        const Span &s = spans_[i];
+        JsonValue ev = JsonValue::makeObject();
+        ev.set("name", JsonValue::makeString(s.name));
+        ev.set("cat", JsonValue::makeString(s.cat.empty() ? "ramp"
+                                                          : s.cat));
+        ev.set("ph", JsonValue::makeString(s.instant ? "i" : "X"));
+        ev.set("pid", JsonValue::makeNumber(1));
+        ev.set("tid",
+               JsonValue::makeNumber(static_cast<double>(s.tid)));
+        ev.set("ts", JsonValue::makeNumber(s.ts_us));
+        if (s.instant) // Thread-scoped instant.
+            ev.set("s", JsonValue::makeString("t"));
         else
-            w.kv("dur", s.dur_us);
+            ev.set("dur", JsonValue::makeNumber(s.dur_us));
         if (!s.args.empty()) {
-            w.key("args").beginObject();
+            JsonValue args = JsonValue::makeObject();
             for (const auto &[k, v] : s.args)
-                w.kv(k, v);
-            w.endObject();
+                args.set(k, JsonValue::makeNumber(v));
+            ev.set("args", std::move(args));
         }
-        w.endObject();
+        if (i > 0)
+            os << ',';
+        util::writeJson(os, ev);
     }
-    w.endArray();
-    w.kv("displayTimeUnit", "ms");
+    os << "],\"displayTimeUnit\":\"ms\"";
     if (spans_dropped_)
-        w.kv("rampSpansDropped", std::uint64_t{spans_dropped_});
-    w.endObject();
-    os << '\n';
+        os << ",\"rampSpansDropped\":" << spans_dropped_;
+    os << "}\n";
 }
 
 void

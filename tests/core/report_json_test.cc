@@ -4,8 +4,6 @@
  * the output must be well-formed and carry the right numbers.
  */
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 #include "core/report_json.hh"
@@ -46,9 +44,7 @@ syntheticReport()
 
 TEST(ReportJson, OperatingPointFieldsPresent)
 {
-    std::ostringstream os;
-    writeJson(os, syntheticOp());
-    const std::string out = os.str();
+    const std::string out = util::writeJson(toJson(syntheticOp()));
     EXPECT_NE(out.find("\"ipc\":1.73"), std::string::npos);
     EXPECT_NE(out.find("\"power_total_w\":20"), std::string::npos);
     EXPECT_NE(out.find("\"temp_max_k\":360"), std::string::npos);
@@ -56,35 +52,64 @@ TEST(ReportJson, OperatingPointFieldsPresent)
     EXPECT_NE(out.find("\"FPU\""), std::string::npos);
     EXPECT_NE(out.find("\"l1d_miss_ratio\":0.03"),
               std::string::npos);
-    // One complete root object per call, newline-terminated.
-    EXPECT_EQ(out.back(), '\n');
+    // One complete root object per document.
     EXPECT_EQ(out.front(), '{');
+    EXPECT_EQ(out.back(), '}');
+
+    const auto doc = util::parseJson(out);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_DOUBLE_EQ(doc->at("ipc").number, 1.73);
+    EXPECT_DOUBLE_EQ(doc->at("power_total_w").number, 20.0);
+    EXPECT_EQ(doc->at("config").at("window").number,
+              sim::baseMachine().window_size);
+    EXPECT_EQ(doc->at("structures").object.size(),
+              sim::allStructures().size());
+    EXPECT_DOUBLE_EQ(
+        doc->at("structures").at("IntALU").at("temp_k").number, 360.0);
 }
 
 TEST(ReportJson, FitReportAtQualPointCarriesTarget)
 {
-    std::ostringstream os;
-    writeJson(os, syntheticReport());
-    const std::string out = os.str();
-    EXPECT_NE(out.find("\"total_fit\":4000"), std::string::npos);
+    const FitReport report = syntheticReport();
+    const std::string out = util::writeJson(toJson(report));
+    // At the qualification point the total is the 4000 FIT target.
+    // Its shortest round-trip spelling is 3999.999999999999, so the
+    // value is checked on the parsed document below, to the same
+    // 12 significant digits the old "total_fit":4000 spelling held.
+    EXPECT_NE(out.find("\"total_fit\":"), std::string::npos);
     for (const char *m : {"\"EM\"", "\"SM\"", "\"TDDB\"", "\"TC\""})
         EXPECT_NE(out.find(m), std::string::npos) << m;
     EXPECT_NE(out.find("\"by_structure\""), std::string::npos);
     EXPECT_NE(out.find("\"mttf_years\""), std::string::npos);
+
+    // Lossless: every number parses back to the report's own double.
+    const auto doc = util::parseJson(out);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_NEAR(doc->at("total_fit").number, 4000.0, 4000.0 * 1e-12);
+    EXPECT_EQ(doc->at("total_fit").number, report.totalFit());
+    EXPECT_EQ(doc->at("mttf_years").number, report.mttfYears());
+    for (auto m : allMechanisms())
+        EXPECT_EQ(doc->at("by_mechanism")
+                      .at(mechanismName(m))
+                      .number,
+                  report.mechanismFit(m));
+    for (auto s : sim::allStructures())
+        EXPECT_EQ(doc->at("by_structure")
+                      .at(sim::structureName(s))
+                      .at("fit")
+                      .number,
+                  report.structureFit(s));
 }
 
 TEST(ReportJson, BalancedBraces)
 {
-    for (int which = 0; which < 2; ++which) {
-        std::ostringstream os;
-        if (which == 0)
-            writeJson(os, syntheticOp());
-        else
-            writeJson(os, syntheticReport());
+    for (const std::string &out :
+         {util::writeJson(toJson(syntheticOp())),
+          util::writeJson(toJson(syntheticReport()))}) {
         int depth = 0;
         bool in_string = false;
         char prev = 0;
-        for (char c : os.str()) {
+        for (char c : out) {
             if (c == '"' && prev != '\\')
                 in_string = !in_string;
             if (!in_string) {

@@ -139,12 +139,28 @@ TEST(Core, L1LoadStreamBoundByPorts)
     EXPECT_NEAR(measureIpc(core), 2.0, 0.1);
 }
 
+/** A 64B-stride walk over 16MB: every load misses L1, L2 and goes
+ *  to memory (the L2 is 1MB and the walk never revisits a line
+ *  within a test). */
+std::uint64_t
+missAddr(std::uint64_t i)
+{
+    return (i * 64) % (16 * 1024 * 1024);
+}
+
+/** Cycles one load spends from L1 lookup to data, when it misses
+ *  every level and nothing else is in flight. */
+double
+fullMissLatency(const MachineConfig &m)
+{
+    return m.l1_hit_cycles + m.l2HitCycles() + m.memLatencyCycles();
+}
+
 TEST(Core, MemoryMissStreamIsSlow)
 {
     FnSource src([](std::uint64_t i) {
         Uop u = makeUop(UopClass::Load, i);
-        // 16MB stride-64B walk: misses everywhere, every level.
-        u.addr = (i * 64) % (16 * 1024 * 1024);
+        u.addr = missAddr(i);
         return u;
     });
     Core core(baseMachine(), src);
@@ -152,6 +168,43 @@ TEST(Core, MemoryMissStreamIsSlow)
     EXPECT_LT(ipc, 1.0);
     EXPECT_GT(ipc, 0.05); // MLP through 12 MSHRs keeps it above serial
     EXPECT_GT(core.memory().memAccesses(), 0u);
+}
+
+TEST(Core, PointerChaseCostsTheFullMissLatencyPerLoad)
+{
+    // Each load's address comes from the previous load: no overlap,
+    // so every load pays L1 + L2 + memory latency in full.
+    FnSource src([](std::uint64_t i) {
+        Uop u = makeUop(UopClass::Load, i, 1);
+        u.addr = missAddr(i);
+        return u;
+    });
+    const MachineConfig m = baseMachine();
+    Core core(m, src);
+    const double cycles_per_load = 1.0 / measureIpc(core, 60000, 60000);
+    // Tolerance: one cycle over the closed form, the AGEN cycle
+    // before the L1 lookup.
+    EXPECT_GE(cycles_per_load, fullMissLatency(m));
+    EXPECT_LE(cycles_per_load, fullMissLatency(m) + 1.0);
+}
+
+TEST(Core, IndependentMissStreamRunsAtLittlesLaw)
+{
+    // Independent misses overlap until the L1D MSHRs run out:
+    // throughput = MSHRs in flight / latency each one is held.
+    FnSource src([](std::uint64_t i) {
+        Uop u = makeUop(UopClass::Load, i);
+        u.addr = missAddr(i);
+        return u;
+    });
+    const MachineConfig m = baseMachine();
+    Core core(m, src);
+    const double ipc = measureIpc(core, 30000, 30000);
+    // Tolerance: 1% of the closed form, which covers each MSHR being
+    // claimed one cycle before its L1 lookup (the AGEN cycle, 0.8%
+    // of the 125 cycles it is held here).
+    const double little = m.l1d_mshrs / fullMissLatency(m);
+    EXPECT_NEAR(ipc, little, 0.01 * little);
 }
 
 TEST(Core, PredictableBranchesBarelyCost)

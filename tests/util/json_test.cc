@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the streaming JSON writer: structure, escaping, numeric
- * edge cases, and misuse detection.
+ * Tests for the JSON emitter and parser: structure, escaping,
+ * numeric edge cases, round trips, and misuse detection.
  */
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -17,127 +16,75 @@ namespace {
 
 TEST(Json, EmptyObject)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject().endObject();
-    EXPECT_EQ(os.str(), "{}");
-    EXPECT_TRUE(w.complete());
+    EXPECT_EQ(writeJson(JsonValue::makeObject()), "{}");
+    EXPECT_EQ(writeJson(JsonValue::makeArray()), "[]");
 }
 
 TEST(Json, FlatObject)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject()
-        .kv("name", "bzip2")
-        .kv("ipc", 1.73)
-        .kv("count", std::uint64_t{42})
-        .kv("ok", true)
-        .endObject();
-    EXPECT_EQ(os.str(),
+    JsonValue root = JsonValue::makeObject();
+    root.set("name", JsonValue::makeString("bzip2"))
+        .set("ipc", JsonValue::makeNumber(1.73))
+        .set("count", JsonValue::makeNumber(42))
+        .set("ok", JsonValue::makeBool(true));
+    EXPECT_EQ(writeJson(root),
               "{\"name\":\"bzip2\",\"ipc\":1.73,\"count\":42,"
               "\"ok\":true}");
 }
 
 TEST(Json, NestedStructures)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("arr").beginArray();
-    w.value(std::int64_t{1});
-    w.value(std::int64_t{2});
-    w.beginObject().kv("x", 3.5).endObject();
-    w.endArray();
-    w.key("obj").beginObject().kv("y", false).endObject();
-    w.endObject();
-    EXPECT_EQ(os.str(),
+    JsonValue inner = JsonValue::makeObject();
+    inner.set("x", JsonValue::makeNumber(3.5));
+    JsonValue arr = JsonValue::makeArray();
+    arr.push(JsonValue::makeNumber(1))
+        .push(JsonValue::makeNumber(2))
+        .push(std::move(inner));
+    JsonValue obj = JsonValue::makeObject();
+    obj.set("y", JsonValue::makeBool(false));
+    JsonValue root = JsonValue::makeObject();
+    root.set("arr", std::move(arr)).set("obj", std::move(obj));
+    EXPECT_EQ(writeJson(root),
               "{\"arr\":[1,2,{\"x\":3.5}],\"obj\":{\"y\":false}}");
-    EXPECT_TRUE(w.complete());
 }
 
 TEST(Json, ArrayAsRoot)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginArray().value("a").value("b").endArray();
-    EXPECT_EQ(os.str(), "[\"a\",\"b\"]");
+    JsonValue root = JsonValue::makeArray();
+    root.push(JsonValue::makeString("a"))
+        .push(JsonValue::makeString("b"));
+    EXPECT_EQ(writeJson(root), "[\"a\",\"b\"]");
 }
 
 TEST(Json, EscapesStrings)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject().kv("k", "a\"b\\c\nd\te").endObject();
-    EXPECT_EQ(os.str(), "{\"k\":\"a\\\"b\\\\c\\nd\\te\"}");
+    JsonValue root = JsonValue::makeObject();
+    root.set("k", JsonValue::makeString("a\"b\\c\nd\te"));
+    EXPECT_EQ(writeJson(root), "{\"k\":\"a\\\"b\\\\c\\nd\\te\"}");
 }
 
 TEST(Json, ControlCharactersEscapedAsUnicode)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject().kv("k", std::string_view("\x01", 1)).endObject();
-    EXPECT_EQ(os.str(), "{\"k\":\"\\u0001\"}");
+    JsonValue root = JsonValue::makeObject();
+    root.set("k", JsonValue::makeString(std::string("\x01\x1f", 2)));
+    EXPECT_EQ(writeJson(root), "{\"k\":\"\\u0001\\u001f\"}");
 }
 
 TEST(Json, NonFiniteNumbersBecomeNull)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject()
-        .kv("nan", std::nan(""))
-        .kv("inf", INFINITY)
-        .endObject();
-    EXPECT_EQ(os.str(), "{\"nan\":null,\"inf\":null}");
+    JsonValue root = JsonValue::makeObject();
+    root.set("nan", JsonValue::makeNumber(std::nan("")))
+        .set("inf", JsonValue::makeNumber(INFINITY))
+        .set("-inf", JsonValue::makeNumber(-INFINITY));
+    EXPECT_EQ(writeJson(root),
+              "{\"nan\":null,\"inf\":null,\"-inf\":null}");
 }
 
 TEST(Json, ExplicitNull)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginArray().null().endArray();
-    EXPECT_EQ(os.str(), "[null]");
-}
-
-TEST(Json, CompleteOnlyWhenBalanced)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    EXPECT_FALSE(w.complete());
-    w.endObject();
-    EXPECT_TRUE(w.complete());
-}
-
-TEST(JsonDeath, KeyOutsideObjectPanics)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    EXPECT_DEATH(w.key("k"), "key outside");
-}
-
-TEST(JsonDeath, ValueWhereKeyExpectedPanics)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    EXPECT_DEATH(w.value(1.0), "key is expected");
-}
-
-TEST(JsonDeath, UnbalancedEndPanics)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginArray();
-    EXPECT_DEATH(w.endObject(), "outside an object");
-}
-
-TEST(JsonDeath, WritingPastRootPanics)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject().endObject();
-    EXPECT_DEATH(w.beginObject(), "complete root");
+    JsonValue root = JsonValue::makeArray();
+    root.push(JsonValue::makeNull());
+    EXPECT_EQ(writeJson(root), "[null]");
 }
 
 TEST(JsonParse, Scalars)
@@ -191,30 +138,6 @@ TEST(JsonParse, RejectsMalformedInput)
     EXPECT_FALSE(err.empty());
 }
 
-TEST(JsonParse, RoundTripsWriterOutput)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject()
-        .kv("name", "bench")
-        .kv("pi", 3.25)
-        .kv("n", std::uint64_t{42})
-        .key("tags")
-        .beginArray()
-        .value("a")
-        .value(true)
-        .null()
-        .endArray()
-        .endObject();
-    const auto doc = parseJson(os.str());
-    ASSERT_TRUE(doc.has_value());
-    EXPECT_EQ(doc->at("name").str, "bench");
-    EXPECT_DOUBLE_EQ(doc->at("pi").number, 3.25);
-    EXPECT_DOUBLE_EQ(doc->at("n").number, 42.0);
-    ASSERT_EQ(doc->at("tags").array.size(), 3u);
-    EXPECT_TRUE(doc->at("tags").array[2].isNull());
-}
-
 TEST(JsonParseDeath, AtMissingKeyPanics)
 {
     const auto doc = parseJson("{}");
@@ -236,18 +159,20 @@ TEST(WriteJson, BuildsAndSerializesTrees)
               "\"tags\":[1,2.5]}");
 }
 
-TEST(WriteJson, EscapingMatchesTheStreamingWriter)
+TEST(WriteJson, EscapingIsPinnedByteForByte)
 {
-    // Same corpus EscapesStrings feeds JsonWriter; both emitters
-    // must agree byte for byte.
-    const std::string nasty = "a\"b\\c\nd\te\rf\x01g";
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject().kv("k", nasty).endObject();
-
+    // Every character the escaper special-cases, in one string: the
+    // five short escapes, then control characters as \u00XX.
+    const std::string nasty = "a\"b\\c\nd\te\rf\x01g\x1fh";
     JsonValue root = JsonValue::makeObject();
     root.set("k", JsonValue::makeString(nasty));
-    EXPECT_EQ(writeJson(root), os.str());
+    EXPECT_EQ(writeJson(root),
+              "{\"k\":\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fh\"}");
+    // Keys go through the same escaper.
+    JsonValue keyed = JsonValue::makeObject();
+    keyed.set(nasty, JsonValue::makeNull());
+    EXPECT_EQ(writeJson(keyed),
+              "{\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fh\":null}");
 }
 
 TEST(WriteJson, RoundTripsThroughParseJson)
@@ -270,8 +195,7 @@ TEST(WriteJson, RoundTripsThroughParseJson)
     EXPECT_EQ(doc->at("pi").number, 3.141592653589793);
     EXPECT_EQ(doc->at("tiny").number, 5e-324);
     EXPECT_EQ(doc->at("text").str, "x\"\\\n\x02");
-    // Non-finite values have no JSON spelling; null, like the
-    // streaming writer.
+    // Non-finite values have no JSON spelling; null.
     EXPECT_TRUE(doc->at("inf").isNull());
 }
 
